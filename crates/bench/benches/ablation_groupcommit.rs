@@ -27,6 +27,7 @@ fn main() {
     );
     println!("{:-<72}", "");
     let mut rows = Vec::new();
+    let mut batch_avgs = Vec::new();
     for delay_us in [0u64, 250, 500, 1000, 2000, 4000] {
         let mut engine = EngineConfig::postgres_like();
         engine.wal.commit_delay = Duration::from_micros(delay_us);
@@ -58,6 +59,7 @@ fn main() {
             batch_avg,
             wal.max_batch
         );
+        batch_avgs.push((delay_us, batch_avg));
         rows.push(vec![
             delay_us.to_string(),
             format!("{:.0}", metrics.tps()),
@@ -87,4 +89,19 @@ fn main() {
         rows,
     );
     println!("report: {}", report.write().display());
+
+    // Group commit must still batch under the calibrated device: every
+    // window shares syncs, and the widest window shares more than none.
+    for &(delay_us, avg) in &batch_avgs {
+        assert!(avg > 1.0, "no batching at {delay_us} µs: {avg:.2} per sync");
+    }
+    let (first, last) = (batch_avgs[0], batch_avgs[batch_avgs.len() - 1]);
+    assert!(
+        last.1 > first.1,
+        "batch avg at {} µs ({:.2}) not above {} µs ({:.2})",
+        last.0,
+        last.1,
+        first.0,
+        first.1
+    );
 }

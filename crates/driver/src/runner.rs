@@ -145,7 +145,11 @@ fn run_inner<W: Workload>(
     hook: Option<&dyn AttemptObserver>,
 ) -> RunMetrics {
     let kinds = workload.kinds();
-    let phase = AtomicU8::new(PHASE_RAMP);
+    // With no ramp-up the interval opens before the clients start, so no
+    // operation can finish unmeasured while this thread waits for a CPU.
+    let ramp = !config.ramp_up.is_zero();
+    let phase = AtomicU8::new(if ramp { PHASE_RAMP } else { PHASE_MEASURE });
+    let mut t0 = Instant::now();
     let base_rng = Xoshiro256::seed_from_u64(config.seed);
 
     let mut merged = RunMetrics::new(kinds.clone(), config.mpl);
@@ -227,9 +231,11 @@ fn run_inner<W: Workload>(
             })
             .collect();
 
-        std::thread::sleep(config.ramp_up);
-        phase.store(PHASE_MEASURE, Ordering::Release);
-        let t0 = Instant::now();
+        if ramp {
+            std::thread::sleep(config.ramp_up);
+            phase.store(PHASE_MEASURE, Ordering::Release);
+            t0 = Instant::now();
+        }
         std::thread::sleep(config.measure);
         phase.store(PHASE_DONE, Ordering::Release);
         let measured = t0.elapsed();
@@ -315,6 +321,22 @@ mod tests {
         assert_eq!(m.deadlocks(), 0);
         assert!(m.kind("ok").unwrap().commits > 0);
         assert_eq!(m.kind("fail").unwrap().commits, 0);
+    }
+
+    #[test]
+    fn without_ramp_up_every_operation_is_measured() {
+        let toy = Toy {
+            attempts: AtomicU64::new(0),
+        };
+        let mpl = 4;
+        let m = run(&toy, &RunConfig::quick(mpl).with_ramp_up(Duration::ZERO));
+        let counted = m.commits() + m.serialization_failures();
+        let attempted = toy.attempts.load(Ordering::Relaxed);
+        // Only the operations in flight when the interval closes escape.
+        assert!(
+            attempted - counted <= mpl as u64,
+            "{counted} of {attempted} attempts measured"
+        );
     }
 
     #[test]

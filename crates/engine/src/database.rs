@@ -236,8 +236,7 @@ impl Database {
     /// Begins a transaction under the configured concurrency control.
     pub fn begin(&self) -> Transaction<'_> {
         let id = TxnId(self.txn_seq.fetch_add(1, Ordering::Relaxed));
-        let snapshot = Ts(self.clock.load(Ordering::Acquire));
-        self.registry.register(id, snapshot);
+        let snapshot = self.registry.register(id, &self.clock);
         if self.config.cc == crate::CcMode::Ssi {
             self.ssi.begin(id, snapshot);
         }
@@ -481,9 +480,7 @@ impl Database {
     /// The vacuum pass body; caller holds `vac_flight`.
     fn run_vacuum(&self) -> u64 {
         let t0 = std::time::Instant::now();
-        let horizon = self
-            .registry
-            .min_active_snapshot(Ts(self.clock.load(Ordering::Acquire)));
+        let horizon = self.registry.min_active_snapshot(&self.clock);
         let mut reclaimed = 0u64;
         for t in self.catalog.tables() {
             reclaimed += t.prune(horizon) as u64;

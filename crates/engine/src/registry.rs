@@ -7,7 +7,7 @@
 use sicost_common::sync::Mutex;
 use sicost_common::{Ts, TxnId};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Registry of running transactions and their snapshots.
 #[derive(Debug, Default)]
@@ -23,10 +23,18 @@ impl ActiveRegistry {
         Self::default()
     }
 
-    /// Registers a transaction's snapshot at begin.
-    pub fn register(&self, _txn: TxnId, snapshot: Ts) {
-        *self.snapshots.lock().entry(snapshot.0).or_insert(0) += 1;
+    /// Registers a transaction at begin and returns its snapshot: the
+    /// commit `clock`, read under the registry lock. A vacuum takes its
+    /// horizon under the same lock, so a snapshot is either registered
+    /// before the horizon is computed (and bounds it) or taken after it
+    /// (and is at least the horizon) — never lost in between, with the
+    /// versions it needs pruned.
+    pub fn register(&self, _txn: TxnId, clock: &AtomicU64) -> Ts {
+        let mut map = self.snapshots.lock();
+        let snapshot = clock.load(Ordering::Acquire);
+        *map.entry(snapshot).or_insert(0) += 1;
         self.count.fetch_add(1, Ordering::Relaxed);
+        Ts(snapshot)
     }
 
     /// Unregisters at commit/abort. A snapshot that was never registered
@@ -52,16 +60,16 @@ impl ActiveRegistry {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Oldest snapshot still in use; `fallback` (typically the current
-    /// clock) when no transaction is active. Versions older than the newest
-    /// version at or below this horizon are unreachable.
-    pub fn min_active_snapshot(&self, fallback: Ts) -> Ts {
-        self.snapshots
-            .lock()
+    /// Oldest snapshot still in use; the commit `clock`, read under the
+    /// registry lock, when no transaction is active. Versions older than
+    /// the newest version at or below this horizon are unreachable.
+    pub fn min_active_snapshot(&self, clock: &AtomicU64) -> Ts {
+        let map = self.snapshots.lock();
+        Ts(map
             .keys()
             .next()
-            .map(|&ts| Ts(ts))
-            .unwrap_or(fallback)
+            .copied()
+            .unwrap_or_else(|| clock.load(Ordering::Acquire)))
     }
 }
 
@@ -69,27 +77,31 @@ impl ActiveRegistry {
 mod tests {
     use super::*;
 
+    fn clock(ts: u64) -> AtomicU64 {
+        AtomicU64::new(ts)
+    }
+
     #[test]
     fn tracks_count_and_min_snapshot() {
         let r = ActiveRegistry::new();
         assert_eq!(r.active_count(), 0);
-        assert_eq!(r.min_active_snapshot(Ts(99)), Ts(99));
+        assert_eq!(r.min_active_snapshot(&clock(99)), Ts(99));
 
-        r.register(TxnId(1), Ts(10));
-        r.register(TxnId(2), Ts(5));
-        r.register(TxnId(3), Ts(10));
+        assert_eq!(r.register(TxnId(1), &clock(10)), Ts(10));
+        assert_eq!(r.register(TxnId(2), &clock(5)), Ts(5));
+        assert_eq!(r.register(TxnId(3), &clock(10)), Ts(10));
         assert_eq!(r.active_count(), 3);
-        assert_eq!(r.min_active_snapshot(Ts(99)), Ts(5));
+        assert_eq!(r.min_active_snapshot(&clock(99)), Ts(5));
 
         r.unregister(TxnId(2), Ts(5));
-        assert_eq!(r.min_active_snapshot(Ts(99)), Ts(10));
+        assert_eq!(r.min_active_snapshot(&clock(99)), Ts(10));
 
         // Duplicate snapshots ref-count correctly.
         r.unregister(TxnId(1), Ts(10));
-        assert_eq!(r.min_active_snapshot(Ts(99)), Ts(10));
+        assert_eq!(r.min_active_snapshot(&clock(99)), Ts(10));
         r.unregister(TxnId(3), Ts(10));
         assert_eq!(r.active_count(), 0);
-        assert_eq!(r.min_active_snapshot(Ts(42)), Ts(42));
+        assert_eq!(r.min_active_snapshot(&clock(42)), Ts(42));
     }
 
     /// Regression: a double-unregister (or an unregister of a snapshot
@@ -99,7 +111,7 @@ mod tests {
     #[test]
     fn double_unregister_does_not_wrap_active_count() {
         let r = ActiveRegistry::new();
-        r.register(TxnId(1), Ts(10));
+        assert_eq!(r.register(TxnId(1), &clock(10)), Ts(10));
         r.unregister(TxnId(1), Ts(10));
         // Second unregister of the same snapshot: must be a no-op.
         r.unregister(TxnId(1), Ts(10));
@@ -108,9 +120,9 @@ mod tests {
         r.unregister(TxnId(2), Ts(77));
         assert_eq!(r.active_count(), 0);
         // The registry still works normally afterwards.
-        r.register(TxnId(3), Ts(20));
+        assert_eq!(r.register(TxnId(3), &clock(20)), Ts(20));
         assert_eq!(r.active_count(), 1);
-        assert_eq!(r.min_active_snapshot(Ts(99)), Ts(20));
+        assert_eq!(r.min_active_snapshot(&clock(99)), Ts(20));
         r.unregister(TxnId(3), Ts(20));
         assert_eq!(r.active_count(), 0);
     }
@@ -124,8 +136,7 @@ mod tests {
                 let r = Arc::clone(&r);
                 std::thread::spawn(move || {
                     for j in 0..1000 {
-                        let ts = Ts(1 + (i * 1000 + j) % 7);
-                        r.register(TxnId(i), ts);
+                        let ts = r.register(TxnId(i), &clock(1 + (i * 1000 + j) % 7));
                         r.unregister(TxnId(i), ts);
                     }
                 })
@@ -135,6 +146,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(r.active_count(), 0);
-        assert_eq!(r.min_active_snapshot(Ts(1)), Ts(1));
+        assert_eq!(r.min_active_snapshot(&clock(1)), Ts(1));
     }
 }

@@ -218,47 +218,60 @@ impl SsiManager {
         }
     }
 
-    /// Records a read: leaves an SIREAD mark and marks `txn → writer`
-    /// antidependencies against (a) the writers of committed versions
-    /// newer than the one observed (`newer_writers`, from the version
-    /// chain), and (b) writers currently announced as installing this key.
-    /// The mark and the announcement collection happen atomically under
-    /// the key's partition lock, so a concurrent committer either sees our
-    /// SIREAD mark or we see its announcement.
+    /// First half of a point read, taken *before* the reader looks at
+    /// the version chain: leaves the SIREAD mark and returns the writers
+    /// currently announced as installing the key, atomically under the
+    /// key's partition lock — so a concurrent committer either sees our
+    /// mark or we see its announcement. Marking first also closes the
+    /// window in which a writer could announce, install and unannounce
+    /// between our chain read and our mark, unseen by either side; Ports
+    /// & Grittner take the SIREAD lock before the conflict-out check for
+    /// the same reason.
+    pub fn mark_read(&self, txn: TxnId, key: &ReadKey) -> Vec<TxnId> {
+        let mut shard = self.shard(key).lock();
+        let marks = shard.readers.entry(key.clone()).or_default();
+        if !marks.contains(&txn) {
+            marks.push(txn);
+        }
+        shard
+            .announced
+            .get(key)
+            .map(|ws| ws.iter().copied().filter(|w| *w != txn).collect())
+            .unwrap_or_default()
+    }
+
+    /// Second half of a read: records `key` for cleanup and marks
+    /// `txn → writer` antidependencies against `writers` — the writers of
+    /// committed versions newer than the one observed (from the version
+    /// chain) and those [`SsiManager::mark_read`] found announced.
+    pub fn read_edges(&self, txn: TxnId, key: ReadKey, writers: &[TxnId]) -> Result<(), TxnError> {
+        let mut txns = self.txns.lock();
+        if let Some(t) = txns.get_mut(&txn) {
+            // Record the key first so an abort cleans the mark up even on
+            // the error paths below.
+            t.read_keys.push(key);
+            if t.doomed {
+                return Err(TxnError::Serialization(SerializationKind::SsiPivot));
+            }
+        }
+        for &w in writers {
+            mark_rw(&mut txns, txn, w, txn)?;
+        }
+        Ok(())
+    }
+
+    /// Records a read in one step — [`SsiManager::mark_read`], then
+    /// [`SsiManager::read_edges`] against `newer_writers` and the
+    /// announced writers — for callers that have already read the chain.
     pub fn on_read(
         &self,
         txn: TxnId,
         key: ReadKey,
         newer_writers: &[TxnId],
     ) -> Result<(), TxnError> {
-        let announced: Vec<TxnId> = {
-            let mut shard = self.shard(&key).lock();
-            let marks = shard.readers.entry(key.clone()).or_default();
-            if !marks.contains(&txn) {
-                marks.push(txn);
-            }
-            shard
-                .announced
-                .get(&key)
-                .map(|ws| ws.iter().copied().filter(|w| *w != txn).collect())
-                .unwrap_or_default()
-        };
-        let mut txns = self.txns.lock();
-        if let Some(t) = txns.get_mut(&txn) {
-            // Record the key first so an abort cleans the mark up even on
-            // the error paths below.
-            t.read_keys.push(key.clone());
-            if t.doomed {
-                return Err(TxnError::Serialization(SerializationKind::SsiPivot));
-            }
-        }
-        for &w in newer_writers {
-            mark_rw(&mut txns, txn, w, txn)?;
-        }
-        for w in announced {
-            mark_rw(&mut txns, txn, w, txn)?;
-        }
-        Ok(())
+        let announced = self.mark_read(txn, &key);
+        let writers: Vec<TxnId> = newer_writers.iter().copied().chain(announced).collect();
+        self.read_edges(txn, key, &writers)
     }
 
     /// Records a write: marks `reader → txn` antidependencies against every

@@ -9,7 +9,6 @@ use sicost_common::{CrashPoint, TableId, Ts, TxnId};
 use sicost_storage::{Predicate, Row, TableStore, Value, Version};
 use sicost_wal::LogEntry;
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// Snapshot used by S2PL reads: always the latest committed version (the
@@ -74,10 +73,9 @@ impl<'db> Transaction<'db> {
                 "snapshot already in use: refresh must precede all reads and writes".into(),
             ));
         }
-        let new = Ts(self.db.clock.load(Ordering::Acquire));
+        self.db.registry.unregister(self.id, self.snapshot);
+        let new = self.db.registry.register(self.id, &self.db.clock);
         if new != self.snapshot {
-            self.db.registry.unregister(self.id, self.snapshot);
-            self.db.registry.register(self.id, new);
             if self.cc() == CcMode::Ssi {
                 self.db.ssi.begin(self.id, new);
             }
@@ -189,6 +187,40 @@ impl<'db> Transaction<'db> {
             .unwrap_or_default()
     }
 
+    /// Reads `key`'s visible version at the transaction's read timestamp
+    /// and emits the `Read` event. Under SSI the SIREAD mark goes up
+    /// *before* the chain read (see [`crate::ssi::SsiManager::mark_read`])
+    /// and the rw edges — to the announced writers and to the writers of
+    /// versions newer than our snapshot — are marked after it.
+    fn read_visible(
+        &mut self,
+        t: &dyn TableStore,
+        table: TableId,
+        key: &Value,
+    ) -> Result<Option<Row>, TxnError> {
+        let announced = (self.cc() == CcMode::Ssi)
+            .then(|| self.db.ssi.mark_read(self.id, &(table, key.clone())));
+        let vis = t.read_at(key, self.read_ts());
+        self.db.emit(HistoryEvent::Read {
+            txn: self.id,
+            table,
+            key: key.clone(),
+            observed: vis.as_ref().map(|v| v.ts),
+        });
+        if let Some(announced) = announced {
+            let mut writers = self.newer_writers(t, key);
+            writers.extend(announced);
+            if let Err(e) = self
+                .db
+                .ssi
+                .read_edges(self.id, (table, key.clone()), &writers)
+            {
+                return Err(self.fail(e));
+            }
+        }
+        Ok(vis.and_then(|v| v.row))
+    }
+
     fn own_write(&self, table: TableId, key: &Value) -> Option<&PendingWrite> {
         self.write_index
             .get(&(table, key.clone()))
@@ -209,20 +241,7 @@ impl<'db> Transaction<'db> {
             self.lock(LockTarget::row(table, key.clone()), LockMode::S)?;
         }
         let t = self.db.catalog.table(table);
-        let vis = t.read_at(key, self.read_ts());
-        self.db.emit(HistoryEvent::Read {
-            txn: self.id,
-            table,
-            key: key.clone(),
-            observed: vis.as_ref().map(|v| v.ts),
-        });
-        if self.cc() == CcMode::Ssi {
-            let newer = self.newer_writers(t.as_ref(), key);
-            if let Err(e) = self.db.ssi.on_read(self.id, (table, key.clone()), &newer) {
-                return Err(self.fail(e));
-            }
-        }
-        Ok(vis.and_then(|v| v.row))
+        self.read_visible(t.as_ref(), table, key)
     }
 
     /// `SELECT … FOR UPDATE`: reads the record holding its exclusive row
@@ -251,22 +270,7 @@ impl<'db> Transaction<'db> {
         let t = self.db.catalog.table(table);
         let row = match self.own_write(table, key) {
             Some(w) => w.image.clone(),
-            None => {
-                let vis = t.read_at(key, self.read_ts());
-                self.db.emit(HistoryEvent::Read {
-                    txn: self.id,
-                    table,
-                    key: key.clone(),
-                    observed: vis.as_ref().map(|v| v.ts),
-                });
-                if self.cc() == CcMode::Ssi {
-                    let newer = self.newer_writers(t.as_ref(), key);
-                    if let Err(e) = self.db.ssi.on_read(self.id, (table, key.clone()), &newer) {
-                        return Err(self.fail(e));
-                    }
-                }
-                vis.and_then(|v| v.row)
-            }
+            None => self.read_visible(t.as_ref(), table, key)?,
         };
         if self.db.config.sfu == SfuSemantics::IdentityWrite && self.cc() != CcMode::S2pl {
             if let Some(img) = &row {

@@ -228,6 +228,56 @@ fn write_skew_blocked_under_ssi() {
     assert!(read_v(&db, 1) + read_v(&db, 2) >= 0);
 }
 
+/// SSI point reads leave their SIREAD mark *before* reading the version
+/// chain, so a writer that announces, installs and unannounces between
+/// the two cannot slip past both sides. Observed from the `Read` event,
+/// which fires right after the chain read: by then the mark must already
+/// be registered.
+#[test]
+fn ssi_point_reads_mark_siread_before_reading_the_chain() {
+    use sicost_common::sync::Mutex;
+    use sicost_engine::{HistoryEvent, HistoryObserver};
+    use std::sync::{Arc, OnceLock, Weak};
+
+    /// Samples the engine's SIREAD gauge at every `Read` event.
+    #[derive(Default)]
+    struct SireadProbe {
+        db: OnceLock<Weak<Database>>,
+        seen: Mutex<Vec<u64>>,
+    }
+    impl HistoryObserver for SireadProbe {
+        fn on_event(&self, e: HistoryEvent) {
+            if let HistoryEvent::Read { .. } = e {
+                let db = self.db.get().and_then(Weak::upgrade).expect("db is up");
+                self.seen.lock().push(db.metrics().siread_entries);
+            }
+        }
+    }
+
+    let probe = Arc::new(SireadProbe::default());
+    let db = Arc::new(
+        Database::builder()
+            .table(schema())
+            .unwrap()
+            .config(EngineConfig::functional().with_cc(CcMode::Ssi))
+            .observer(probe.clone())
+            .build(),
+    );
+    probe.db.set(Arc::downgrade(&db)).unwrap();
+    let tid = db.table_id("T").unwrap();
+    db.bulk_load(tid, [row(1, 100), row(2, 100)]).unwrap();
+
+    let mut t = db.begin();
+    t.read(tid, &Value::int(1)).unwrap();
+    t.read_for_update(tid, &Value::int(2)).unwrap();
+    t.commit().unwrap();
+    assert_eq!(
+        *probe.seen.lock(),
+        [1, 2],
+        "SIREAD marks at each Read event"
+    );
+}
+
 #[test]
 fn s2pl_readers_block_behind_writers() {
     let db = db_with(EngineConfig::functional().with_cc(CcMode::S2pl));

@@ -12,8 +12,9 @@
 //!    per-instance `HashMap` hash seeds, is handled by sorting at the
 //!    single behaviour-affecting iteration site in the engine.)
 //! 2. **Schedule exploration.** Different seeds yield genuinely different
-//!    interleavings of the commit pipeline, checkpointer, and WAL daemon,
-//!    including ones the OS scheduler would practically never produce.
+//!    interleavings of the commit pipeline, checkpointer, and WAL group
+//!    commit, including ones the OS scheduler would practically never
+//!    produce.
 //!
 //! Time is **virtual**: `sim_sleep` and condvar timeouts park the task
 //! until the simulated clock reaches their deadline, and the clock only
@@ -410,7 +411,7 @@ pub struct SimReport {
     pub trace_hash: u64,
     /// Final virtual time.
     pub virtual_time: Duration,
-    /// Tasks that participated (root, workers, WAL daemons, …).
+    /// Tasks that participated (root, workers, …).
     pub tasks: usize,
 }
 
@@ -422,8 +423,7 @@ pub struct SimReport {
 /// [`sicost_common::sim_spawn`] and join it with
 /// [`sicost_common::SimJoinHandle::join`]; every blocking primitive in
 /// `sicost_common::sync` participates automatically. All spawned tasks
-/// must be joined (directly, or transitively — e.g. dropping a database
-/// joins its WAL daemon) before the closure returns.
+/// must be joined before the closure returns.
 pub struct Sim {
     seed: u64,
     preempt_p: f64,

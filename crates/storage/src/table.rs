@@ -787,10 +787,12 @@ mod tests {
         let t = std::sync::Arc::new(accounts());
         let stop = std::sync::Arc::new(AtomicBool::new(false));
         let hi = std::sync::Arc::new(AtomicU64::new(0));
+        let passes = std::sync::Arc::new(AtomicU64::new(0));
         let pruner = {
             let t = std::sync::Arc::clone(&t);
             let stop = std::sync::Arc::clone(&stop);
             let hi = std::sync::Arc::clone(&hi);
+            let passes = std::sync::Arc::clone(&passes);
             std::thread::spawn(move || {
                 let mut total = 0;
                 while !stop.load(SeqCst) {
@@ -799,6 +801,7 @@ mod tests {
                         total += t.prune(Ts(h));
                     }
                     epoch::collect();
+                    passes.fetch_add(1, SeqCst);
                     std::thread::yield_now();
                 }
                 total
@@ -820,6 +823,14 @@ mod tests {
             };
             t.install(&key, version).unwrap();
             hi.store(ts, SeqCst);
+            if ts % 100 == 0 {
+                // However the OS schedules the two threads, let a whole
+                // pruning pass see this horizon before writing on.
+                let seen = passes.load(SeqCst);
+                while passes.load(SeqCst) < seen + 2 {
+                    std::thread::yield_now();
+                }
+            }
         }
         stop.store(true, SeqCst);
         let reclaimed = pruner.join().unwrap();

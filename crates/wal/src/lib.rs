@@ -11,19 +11,22 @@
 //!
 //! * [`LogDevice`] models the disk: each sync costs a fixed rotational/seek
 //!   latency plus a per-record transfer cost.
-//! * [`Wal`] runs a background group-commit daemon. A committing transaction
-//!   enqueues its [`LogRecord`] and blocks until the batch containing it has
-//!   been synced; everything queued during the configurable `commit_delay`
-//!   window shares one device sync.
+//! * [`Wal`] runs leader/follower group commit on the committers' own
+//!   threads. A committing transaction enqueues its [`LogRecord`]; if no
+//!   batch is in flight it leads one — waits the configurable
+//!   `commit_delay`, syncs everything queued by then in one device sync,
+//!   and hands leadership to the first committer queued behind it.
+//!   Everyone else blocks until the batch containing its record has been
+//!   synced (or until it is handed the leadership).
 //! * Read-only transactions never call into this crate at all — which is why
 //!   strategies that add a write to the read-only Balance program pay the
 //!   paper's ~20 % penalty at MPL 1 without any hard-coding on our side.
 //!
 //! Durability is byte-real: every synced record is appended to an
-//! in-memory "disk" image in a checksummed binary frame (see [`record`]),
-//! and [`recovery::recover`] rebuilds a catalog by scanning that image —
-//! truncating any torn tail a crash left behind — and replaying the
-//! surviving records. A shared [`sicost_common::FaultInjector`] can stall
+//! in-memory "disk" image in a checksummed binary frame (see [`record`]).
+//! The image is the only copy the WAL keeps, and [`recovery::recover`]
+//! rebuilds a catalog by scanning it — truncating any torn tail a crash
+//! left behind — and replaying the surviving records. A shared [`sicost_common::FaultInjector`] can stall
 //! or fail device syncs and crash the process mid-pipeline; tests use this
 //! to show that committed transactions survive recovery and uncommitted
 //! ones vanish.

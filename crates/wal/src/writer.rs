@@ -1,12 +1,12 @@
-//! The WAL front end and its group-commit daemon.
+//! The WAL front end and its leader/follower group commit.
 
 use crate::checkpoint::{DurableImage, Manifest};
 use crate::device::{DeviceStats, LogDevice};
 use crate::record::{LogEntry, LogRecord, Lsn};
-use sicost_common::sync::{sim_sleep, sim_spawn, Condvar, Mutex, SimJoinHandle};
+use crate::recovery::scan_log;
+use sicost_common::sync::{sim_sleep, Condvar, Mutex};
 use sicost_common::{CrashPoint, FaultInjector, TxnId};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,9 +17,9 @@ pub struct WalConfig {
     pub sync_latency: Duration,
     /// Incremental cost per record in a sync batch (transfer).
     pub per_record_cost: Duration,
-    /// Group-commit gather window: after the first commit arrives the
-    /// daemon waits this long for others to join the batch (PostgreSQL's
-    /// `commit_delay`, which the paper enables).
+    /// Group-commit gather window: a committer that becomes a batch's
+    /// leader waits this long for others to join before it syncs
+    /// (PostgreSQL's `commit_delay`, which the paper enables).
     pub commit_delay: Duration,
 }
 
@@ -92,9 +92,34 @@ impl fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
+/// What a leader hands a queued committer through its completion slot.
+#[derive(Debug, Clone, Copy)]
+enum Handoff {
+    /// Lead the next batch; the committer's own record heads the queue.
+    Lead,
+    /// The committer's batch finished with this outcome.
+    Done(Result<(), WalError>),
+}
+
 struct Completion {
-    done: Mutex<Option<Result<(), WalError>>>,
+    slot: Mutex<Option<Handoff>>,
     cv: Condvar,
+}
+
+impl Completion {
+    fn hand(&self, handoff: Handoff) {
+        *self.slot.lock() = Some(handoff);
+        self.cv.notify_one();
+    }
+
+    /// Blocks until a leader hands something over, and empties the slot.
+    fn wait(&self) -> Handoff {
+        let mut slot = self.slot.lock();
+        while slot.is_none() {
+            self.cv.wait(&mut slot);
+        }
+        slot.take().expect("loop exits only when set")
+    }
 }
 
 struct Pending {
@@ -102,21 +127,26 @@ struct Pending {
     completion: Arc<Completion>,
 }
 
-/// The durable log window under one lock, so a reader can take the base
-/// offset, the byte image, and the decoded record list as one consistent
-/// snapshot (sampling them from separate locks would race with the
-/// daemon's append).
+/// Committers waiting for the next batch.
+struct Queue {
+    /// Queued records, in LSN order.
+    pending: Vec<Pending>,
+    /// A leader owns the batch in flight (gathering, syncing or
+    /// appending). While false, `pending` is empty.
+    led: bool,
+}
+
+/// The durable log window under one lock, so a reader takes the base
+/// offset and the byte image as one consistent snapshot (sampling them
+/// from separate locks would race with a leader's append).
 struct DiskImage {
     /// Logical byte offset of `bytes[0]`. Starts at 0 and only advances
     /// when checkpoint truncation drops a prefix.
     base: u64,
     /// The surviving framed bytes: what crash-recovery scans (and where a
-    /// torn tail lives).
+    /// torn tail lives). The only copy of the records;
+    /// [`Wal::log_snapshot`] decodes them on demand.
     bytes: Vec<u8>,
-    /// Durable records still inside the window, in LSN order, each with
-    /// the logical end offset of its frame — exactly what `bytes` decodes
-    /// to.
-    records: Vec<(LogRecord, u64)>,
 }
 
 impl DiskImage {
@@ -140,55 +170,47 @@ struct CheckpointArea {
     next_slot: u8,
 }
 
-struct Shared {
+/// The write-ahead log. One instance per database; committers from any
+/// number of threads share device syncs through leader/follower group
+/// commit (see [`Wal::commit`]).
+///
+/// Lock order: `next_lsn → queue → completion` on the commit path and
+/// `ckpt → image` for the durable image; `stats` is only taken alone.
+pub struct Wal {
     device: LogDevice,
     commit_delay: Duration,
-    queue: Mutex<Vec<Pending>>,
-    kick: Condvar,
-    shutdown: AtomicBool,
-    /// The durable log window (base offset + bytes + decoded records).
+    next_lsn: Mutex<u64>,
+    queue: Mutex<Queue>,
+    /// The durable log window (base offset + framed bytes).
     image: Mutex<DiskImage>,
     /// The durable checkpoint slots and manifests.
     ckpt: Mutex<CheckpointArea>,
     stats: Mutex<WalStats>,
-    next_lsn: Mutex<u64>,
     faults: Option<Arc<FaultInjector>>,
 }
 
-impl Shared {
-    fn crashed(&self) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.crashed())
-    }
-}
-
-/// The write-ahead log. One instance per database; commits from any number
-/// of threads funnel through the group-commit daemon.
-pub struct Wal {
-    shared: Arc<Shared>,
-    daemon: Option<SimJoinHandle<()>>,
-}
-
 impl Wal {
-    /// Starts the WAL and its group-commit daemon.
+    /// An empty WAL.
     pub fn new(config: WalConfig) -> Self {
         Self::with_faults(config, None)
     }
 
-    /// Starts the WAL with an optional fault injector shared with the
+    /// An empty WAL with an optional fault injector shared with the
     /// engine, so WAL-level faults and commit-pipeline faults draw from one
     /// seeded schedule.
     pub fn with_faults(config: WalConfig, faults: Option<Arc<FaultInjector>>) -> Self {
-        let shared = Arc::new(Shared {
+        Self {
             device: LogDevice::new(config.sync_latency, config.per_record_cost)
                 .with_faults(faults.clone()),
             commit_delay: config.commit_delay,
-            queue: Mutex::new(Vec::new()),
-            kick: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            next_lsn: Mutex::new(0),
+            queue: Mutex::new(Queue {
+                pending: Vec::new(),
+                led: false,
+            }),
             image: Mutex::new(DiskImage {
                 base: 0,
                 bytes: Vec::new(),
-                records: Vec::new(),
             }),
             ckpt: Mutex::new(CheckpointArea {
                 slots: [Vec::new(), Vec::new()],
@@ -197,19 +219,12 @@ impl Wal {
                 next_slot: 0,
             }),
             stats: Mutex::new(WalStats::default()),
-            next_lsn: Mutex::new(0),
             faults,
-        });
-        let daemon_shared = Arc::clone(&shared);
-        // sim_spawn: a plain named thread normally; a scheduled task when
-        // running under the deterministic simulator.
-        let daemon = sim_spawn("wal-group-commit", move || {
-            group_commit_loop(&daemon_shared)
-        });
-        Self {
-            shared,
-            daemon: Some(daemon),
         }
+    }
+
+    fn crashed(&self) -> bool {
+        self.faults.as_ref().is_some_and(|f| f.crashed())
     }
 
     /// Makes a transaction's redo entries durable, blocking until the sync
@@ -218,6 +233,13 @@ impl Wal {
     /// failed transiently (nothing durable), [`WalError::Crashed`] when the
     /// simulated process died (durability undecided — ask recovery).
     ///
+    /// Group commit runs on the committers' own threads. A committer that
+    /// finds no batch in flight leads one: it waits `commit_delay`, takes
+    /// the queue, syncs the device and appends the frames, hands the
+    /// leadership to the first committer queued behind it, and only then
+    /// completes its batch. Every other committer waits on its completion
+    /// slot for the outcome — or for the leadership.
+    ///
     /// Callers must not invoke this for read-only transactions — an empty
     /// entry list is a caller bug.
     pub fn commit(&self, txn: TxnId, entries: Vec<LogEntry>) -> Result<Lsn, WalError> {
@@ -225,70 +247,148 @@ impl Wal {
             !entries.is_empty(),
             "read-only transactions must not write the WAL"
         );
-        if self.shared.crashed() {
+        if self.crashed() {
             return Err(WalError::Crashed);
         }
         let completion = Arc::new(Completion {
-            done: Mutex::new(None),
+            slot: Mutex::new(None),
             cv: Condvar::new(),
         });
-        let lsn;
-        {
-            let mut next = self.shared.next_lsn.lock();
-            lsn = Lsn(*next);
+        let (lsn, mut lead) = {
+            let mut next = self.next_lsn.lock();
+            let lsn = Lsn(*next);
             *next += 1;
             // Enqueue while still holding the LSN lock so queue order always
             // matches LSN order.
-            self.shared.queue.lock().push(Pending {
+            let mut queue = self.queue.lock();
+            queue.pending.push(Pending {
                 record: LogRecord { lsn, txn, entries },
                 completion: Arc::clone(&completion),
             });
+            let lead = !queue.led;
+            queue.led = true;
+            (lsn, lead)
+        };
+        loop {
+            if lead {
+                self.lead_batch();
+            }
+            match completion.wait() {
+                Handoff::Done(result) => return result.map(|()| lsn),
+                Handoff::Lead => lead = true,
+            }
         }
-        self.shared.kick.notify_one();
-        let mut done = completion.done.lock();
-        while done.is_none() {
-            completion.cv.wait(&mut done);
-        }
-        done.expect("loop exits only when set").map(|()| lsn)
     }
 
-    /// Snapshot of the durable log records still inside the surviving
-    /// window, in LSN order (recovery and tests). Checkpoint truncation
-    /// drops the covered prefix from this view too.
+    /// Runs one batch as its leader, whose own record heads the queue.
+    fn lead_batch(&self) {
+        // Gather window: let concurrent committers join the batch.
+        if !self.commit_delay.is_zero() {
+            sim_sleep(self.commit_delay);
+        }
+        let batch = std::mem::take(&mut self.queue.lock().pending);
+        let result = self.write_batch(&batch);
+        // Hand off before completing, so the next batch gathers and syncs
+        // while this one's committers wake up.
+        {
+            let mut queue = self.queue.lock();
+            match queue.pending.first() {
+                Some(next) => next.completion.hand(Handoff::Lead),
+                None => queue.led = false,
+            }
+        }
+        for p in batch {
+            p.completion.hand(Handoff::Done(result));
+        }
+    }
+
+    /// Syncs `batch` and appends its frames to the durable image.
+    fn write_batch(&self, batch: &[Pending]) -> Result<(), WalError> {
+        // A crash armed at DuringWalSync tears the batch: every record but
+        // the last reaches the disk image in full, then the write stops
+        // half-way through the last record's frame. No waiter learns its
+        // fate — they all see Crashed — and recovery must truncate the
+        // partial frame by checksum.
+        let crash_mid_sync = self
+            .faults
+            .as_ref()
+            .is_some_and(|f| f.at_crash_point(CrashPoint::DuringWalSync));
+        if crash_mid_sync {
+            let mut image = self.image.lock();
+            let before = image.bytes.len();
+            for (i, p) in batch.iter().enumerate() {
+                let frame = p.record.encode();
+                let kept = if i + 1 < batch.len() {
+                    frame.len()
+                } else {
+                    frame.len() / 2
+                };
+                image.bytes.extend_from_slice(&frame[..kept]);
+            }
+            let appended = (image.bytes.len() - before) as u64;
+            drop(image);
+            self.stats.lock().appended_bytes += appended;
+            return Err(WalError::Crashed);
+        }
+        if self.crashed() {
+            return Err(WalError::Crashed);
+        }
+
+        let bytes: u64 = batch.iter().map(|p| p.record.size_bytes() as u64).sum();
+        let synced = self.device.sync(batch.len() as u64, bytes);
+        let mut appended = 0u64;
+        if synced.is_ok() {
+            let mut image = self.image.lock();
+            let before = image.bytes.len();
+            for p in batch {
+                p.record.encode_into(&mut image.bytes);
+            }
+            appended = (image.bytes.len() - before) as u64;
+        }
+        let mut stats = self.stats.lock();
+        stats.batches += 1;
+        if synced.is_ok() {
+            stats.records += batch.len() as u64;
+            stats.max_batch = stats.max_batch.max(batch.len() as u64);
+            stats.appended_bytes += appended;
+        } else {
+            stats.failed_batches += 1;
+        }
+        synced.map_err(|_| WalError::SyncFailed)
+    }
+
+    /// The durable log records still inside the surviving window, in LSN
+    /// order (recovery and tests), decoded from the byte image. Checkpoint
+    /// truncation drops the covered prefix from this view too, and a torn
+    /// tail left by a mid-sync crash is not part of it.
     pub fn log_snapshot(&self) -> Vec<LogRecord> {
-        self.shared
-            .image
-            .lock()
-            .records
-            .iter()
-            .map(|(r, _)| r.clone())
-            .collect()
+        scan_log(&self.image.lock().bytes).records
     }
 
     /// Snapshot of the durable byte image — the "disk" window that crash
     /// recovery scans. After a mid-sync crash this ends in a torn tail.
     pub fn disk_snapshot(&self) -> Vec<u8> {
-        self.shared.image.lock().bytes.clone()
+        self.image.lock().bytes.clone()
     }
 
     /// Logical byte offset of the first surviving log byte (0 until the
     /// first truncation).
     pub fn wal_base(&self) -> u64 {
-        self.shared.image.lock().base
+        self.image.lock().base
     }
 
     /// Logical byte offset one past the last durable log byte. Monotone
     /// across truncation; the checkpointer reads this as the redo
     /// resume-point `O` before choosing its snapshot timestamp.
     pub fn log_end_offset(&self) -> u64 {
-        self.shared.image.lock().end()
+        self.image.lock().end()
     }
 
     /// The complete durable state — log window, checkpoint slots, and
     /// manifests — as crash recovery would find it.
     pub fn durable_image(&self) -> DurableImage {
-        let ckpt = self.shared.ckpt.lock();
-        let image = self.shared.image.lock();
+        let ckpt = self.ckpt.lock();
+        let image = self.image.lock();
         DurableImage {
             manifest: ckpt.manifest.clone(),
             prev_manifest: ckpt.prev_manifest.clone(),
@@ -307,20 +407,19 @@ impl Wal {
     /// torn write here ([`sicost_common::CrashPoint::DuringCheckpointWrite`])
     /// leaves the previous generation fully recoverable.
     pub fn write_checkpoint(&self, frame: &[u8]) -> Result<u8, WalError> {
-        if self.shared.crashed() {
+        if self.crashed() {
             return Err(WalError::Crashed);
         }
-        let mut ckpt = self.shared.ckpt.lock();
+        let mut ckpt = self.ckpt.lock();
         let slot = ckpt.next_slot;
-        if let Some(f) = &self.shared.faults {
+        if let Some(f) = &self.faults {
             if f.at_crash_point(CrashPoint::DuringCheckpointWrite) {
                 // The crash lands mid-write: the slot holds a torn prefix.
                 ckpt.slots[slot as usize] = frame[..frame.len() / 2].to_vec();
                 return Err(WalError::Crashed);
             }
         }
-        self.shared
-            .device
+        self.device
             .sync(1, frame.len() as u64)
             .map_err(|_| WalError::SyncFailed)?;
         ckpt.slots[slot as usize] = frame.to_vec();
@@ -333,20 +432,19 @@ impl Wal {
     /// [`sicost_common::CrashPoint::BeforeManifestSwap`] fires before any
     /// byte changes, so recovery still sees the old generation.
     pub fn swap_manifest(&self, manifest: &Manifest) -> Result<(), WalError> {
-        if self.shared.crashed() {
+        if self.crashed() {
             return Err(WalError::Crashed);
         }
-        if let Some(f) = &self.shared.faults {
+        if let Some(f) = &self.faults {
             if f.at_crash_point(CrashPoint::BeforeManifestSwap) {
                 return Err(WalError::Crashed);
             }
         }
         let encoded = manifest.encode();
-        self.shared
-            .device
+        self.device
             .sync(1, encoded.len() as u64)
             .map_err(|_| WalError::SyncFailed)?;
-        let mut ckpt = self.shared.ckpt.lock();
+        let mut ckpt = self.ckpt.lock();
         ckpt.prev_manifest = std::mem::take(&mut ckpt.manifest);
         ckpt.manifest = encoded;
         // The slot the new manifest references is now live; the other one
@@ -362,15 +460,15 @@ impl Wal {
     /// fires *before* any byte is dropped: a crash there recovers from the
     /// new manifest over the still-intact log. Returns the bytes dropped.
     pub fn truncate_to(&self, cut: u64) -> Result<u64, WalError> {
-        if self.shared.crashed() {
+        if self.crashed() {
             return Err(WalError::Crashed);
         }
-        if let Some(f) = &self.shared.faults {
+        if let Some(f) = &self.faults {
             if f.at_crash_point(CrashPoint::AfterManifestSwapBeforeTruncate) {
                 return Err(WalError::Crashed);
             }
         }
-        let mut image = self.shared.image.lock();
+        let mut image = self.image.lock();
         if cut <= image.base {
             return Ok(0);
         }
@@ -382,123 +480,19 @@ impl Wal {
         let dropped = (cut - image.base) as usize;
         image.bytes.drain(..dropped);
         image.base = cut;
-        image.records.retain(|(_, end)| *end > cut);
         drop(image);
-        self.shared.stats.lock().truncated_bytes += dropped as u64;
+        self.stats.lock().truncated_bytes += dropped as u64;
         Ok(dropped as u64)
     }
 
     /// Cumulative WAL statistics.
     pub fn stats(&self) -> WalStats {
-        *self.shared.stats.lock()
+        *self.stats.lock()
     }
 
     /// Cumulative device statistics.
     pub fn device_stats(&self) -> DeviceStats {
-        self.shared.device.stats()
-    }
-}
-
-impl Drop for Wal {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.kick.notify_all();
-        if let Some(h) = self.daemon.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn complete(batch: Vec<Pending>, result: Result<(), WalError>) {
-    for p in batch {
-        let mut done = p.completion.done.lock();
-        *done = Some(result);
-        p.completion.cv.notify_one();
-    }
-}
-
-fn group_commit_loop(shared: &Shared) {
-    loop {
-        // Wait for work (or shutdown).
-        {
-            let mut queue = shared.queue.lock();
-            while queue.is_empty() {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                shared.kick.wait(&mut queue);
-            }
-        }
-        // Gather window: let concurrent committers join the batch.
-        if !shared.commit_delay.is_zero() {
-            sim_sleep(shared.commit_delay);
-        }
-        let batch: Vec<Pending> = std::mem::take(&mut *shared.queue.lock());
-        debug_assert!(!batch.is_empty());
-
-        // A crash armed at DuringWalSync tears the batch: every record but
-        // the last reaches the disk image in full, then the write stops
-        // half-way through the last record's frame. No waiter learns its
-        // fate — they all see Crashed — and recovery must truncate the
-        // partial frame by checksum.
-        let crash_mid_sync = shared
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.at_crash_point(CrashPoint::DuringWalSync));
-        if crash_mid_sync {
-            let mut image = shared.image.lock();
-            let mut appended = 0u64;
-            for (i, p) in batch.iter().enumerate() {
-                let frame = p.record.encode();
-                if i + 1 < batch.len() {
-                    image.bytes.extend_from_slice(&frame);
-                    let end = image.end();
-                    image.records.push((p.record.clone(), end));
-                    appended += frame.len() as u64;
-                } else {
-                    image.bytes.extend_from_slice(&frame[..frame.len() / 2]);
-                    appended += (frame.len() / 2) as u64;
-                }
-            }
-            drop(image);
-            shared.stats.lock().appended_bytes += appended;
-            complete(batch, Err(WalError::Crashed));
-            continue;
-        }
-        if shared.crashed() {
-            complete(batch, Err(WalError::Crashed));
-            continue;
-        }
-
-        let bytes: u64 = batch.iter().map(|p| p.record.size_bytes() as u64).sum();
-        let synced = shared.device.sync(batch.len() as u64, bytes);
-        let mut appended = 0u64;
-        let result = match synced {
-            Ok(()) => {
-                let mut image = shared.image.lock();
-                for p in &batch {
-                    let before = image.bytes.len();
-                    p.record.encode_into(&mut image.bytes);
-                    appended += (image.bytes.len() - before) as u64;
-                    let end = image.end();
-                    image.records.push((p.record.clone(), end));
-                }
-                Ok(())
-            }
-            Err(_) => Err(WalError::SyncFailed),
-        };
-        {
-            let mut stats = shared.stats.lock();
-            stats.batches += 1;
-            if result.is_ok() {
-                stats.records += batch.len() as u64;
-                stats.max_batch = stats.max_batch.max(batch.len() as u64);
-                stats.appended_bytes += appended;
-            } else {
-                stats.failed_batches += 1;
-            }
-        }
-        complete(batch, result);
+        self.device.stats()
     }
 }
 
@@ -532,11 +526,19 @@ mod tests {
     }
 
     #[test]
-    fn disk_image_decodes_back_to_the_log() {
+    fn disk_image_decodes_back_to_the_committed_records() {
         let wal = Wal::new(WalConfig::instant());
-        wal.commit(TxnId(1), vec![entry(1, 10)]).unwrap();
-        wal.commit(TxnId(2), vec![entry(2, 20), entry(3, 30)])
-            .unwrap();
+        let committed = [
+            (TxnId(1), vec![entry(1, 10)]),
+            (TxnId(2), vec![entry(2, 20), entry(3, 30)]),
+        ];
+        let expected: Vec<LogRecord> = committed
+            .into_iter()
+            .map(|(txn, entries)| {
+                let lsn = wal.commit(txn, entries.clone()).unwrap();
+                LogRecord { lsn, txn, entries }
+            })
+            .collect();
         let disk = wal.disk_snapshot();
         let mut decoded = Vec::new();
         let mut pos = 0;
@@ -545,7 +547,8 @@ mod tests {
             decoded.push(rec);
             pos += used;
         }
-        assert_eq!(decoded, wal.log_snapshot());
+        assert_eq!(decoded, expected);
+        assert_eq!(wal.log_snapshot(), expected);
     }
 
     #[test]
@@ -620,11 +623,150 @@ mod tests {
         assert!(ds.bytes > 0);
     }
 
+    /// No batch is in flight and nobody is queued.
+    fn assert_idle(wal: &Wal) {
+        let queue = wal.queue.lock();
+        assert!(!queue.led, "a leader outlived its batch");
+        assert!(queue.pending.is_empty(), "a committer was left queued");
+    }
+
     #[test]
-    fn drop_joins_daemon_cleanly() {
+    fn a_lone_committer_leads_its_own_batch() {
         let wal = Wal::new(WalConfig::instant());
-        wal.commit(TxnId(1), vec![entry(1, 1)]).unwrap();
-        drop(wal); // must not hang or panic
+        for i in 0..3 {
+            wal.commit(TxnId(i), vec![entry(i as i64, 1)]).unwrap();
+            assert_idle(&wal);
+        }
+        assert_eq!(wal.stats().batches, 3);
+        assert_eq!(wal.device_stats().syncs, 3);
+    }
+
+    /// Commits txn 0 as a batch leader, then queues txns 1..=`followers`
+    /// (in that LSN order) while the leader's batch is held after its
+    /// device sync: the test holds the stats lock, which a leader takes
+    /// after syncing and before it hands off. Returns every commit's
+    /// outcome, in txn order; panics if a committer never returns.
+    fn commit_behind_a_held_leader(wal: &Arc<Wal>, followers: u64) -> Vec<Result<Lsn, WalError>> {
+        let held = wal.stats.lock();
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let spawn = |i: u64| {
+            let (wal, done_tx) = (Arc::clone(wal), done_tx.clone());
+            std::thread::spawn(move || {
+                let result = wal.commit(TxnId(i), vec![entry(i as i64, 0)]);
+                done_tx.send((i, result)).unwrap();
+            })
+        };
+        let wait_until = |ready: &dyn Fn(&Queue) -> bool| {
+            while !ready(&wal.queue.lock()) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let mut handles = vec![spawn(0)];
+        // The leader has taken its batch once the queue is led and empty.
+        wait_until(&|q| q.led && q.pending.is_empty());
+        for i in 1..=followers {
+            handles.push(spawn(i));
+            wait_until(&|q| q.pending.len() == i as usize);
+        }
+        drop(held);
+        let mut results: Vec<_> = (0..=followers)
+            .map(|_| {
+                done.recv_timeout(Duration::from_secs(10))
+                    .expect("a committer hung")
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        results.sort_by_key(|&(i, _)| i);
+        results.into_iter().map(|(_, result)| result).collect()
+    }
+
+    #[test]
+    fn committers_queued_during_a_sync_are_promoted_in_lsn_order() {
+        let cfg = WalConfig {
+            sync_latency: Duration::from_millis(2),
+            per_record_cost: Duration::ZERO,
+            commit_delay: Duration::ZERO,
+        };
+        let wal = Arc::new(Wal::new(cfg));
+        let results = commit_behind_a_held_leader(&wal, 4);
+        let lsns: Vec<Lsn> = results.into_iter().map(Result::unwrap).collect();
+        assert_eq!(lsns, (0..5).map(Lsn).collect::<Vec<_>>());
+        // The leader synced alone; the first follower was promoted and
+        // synced the other four in one batch.
+        let stats = wal.stats();
+        assert_eq!((stats.batches, stats.max_batch, stats.records), (2, 4, 5));
+        let log = wal.log_snapshot();
+        assert_eq!(log.iter().map(|r| r.lsn).collect::<Vec<_>>(), lsns);
+        assert_eq!(
+            log.iter().map(|r| r.txn).collect::<Vec<_>>(),
+            (0..5).map(TxnId).collect::<Vec<_>>()
+        );
+        assert_idle(&wal);
+    }
+
+    #[test]
+    fn leadership_passes_on_after_a_failed_sync() {
+        // The first seed whose first sync fails and whose second succeeds.
+        let cfg = (0..)
+            .map(|seed| FaultConfig::transient(seed, 0.0, 0.5))
+            .find(|cfg| {
+                let twin = FaultInjector::new(*cfg);
+                twin.wal_sync_error() && !twin.wal_sync_error()
+            })
+            .unwrap();
+        let f = Arc::new(FaultInjector::new(cfg));
+        let wal = Arc::new(Wal::with_faults(WalConfig::instant(), Some(f)));
+        let results = commit_behind_a_held_leader(&wal, 2);
+        assert_eq!(
+            results,
+            vec![Err(WalError::SyncFailed), Ok(Lsn(1)), Ok(Lsn(2))]
+        );
+        let stats = wal.stats();
+        assert_eq!(
+            (stats.batches, stats.failed_batches, stats.records),
+            (2, 1, 2)
+        );
+        let log = wal.log_snapshot();
+        assert_eq!(
+            log.iter().map(|r| r.txn).collect::<Vec<_>>(),
+            [TxnId(1), TxnId(2)]
+        );
+        assert_idle(&wal);
+    }
+
+    #[test]
+    fn a_mid_sync_crash_fails_every_later_committer_without_hanging() {
+        // The leader's batch lands; the promoted follower's batch crashes.
+        let f = Arc::new(FaultInjector::new(FaultConfig::crash(
+            CrashPoint::DuringWalSync,
+            2,
+        )));
+        let wal = Arc::new(Wal::with_faults(WalConfig::instant(), Some(f)));
+        let results = commit_behind_a_held_leader(&wal, 3);
+        assert_eq!(
+            results,
+            vec![
+                Ok(Lsn(0)),
+                Err(WalError::Crashed),
+                Err(WalError::Crashed),
+                Err(WalError::Crashed)
+            ]
+        );
+        // The crashed batch tore its last frame: txns 0-2 are intact.
+        let log = wal.log_snapshot();
+        assert_eq!(
+            log.iter().map(|r| r.txn).collect::<Vec<_>>(),
+            [TxnId(0), TxnId(1), TxnId(2)]
+        );
+        assert!(scan_log(&wal.disk_snapshot()).truncated.is_some());
+        assert_idle(&wal);
+        assert_eq!(
+            wal.commit(TxnId(9), vec![entry(9, 9)]),
+            Err(WalError::Crashed)
+        );
+        assert_idle(&wal);
     }
 
     #[test]

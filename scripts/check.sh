@@ -27,6 +27,9 @@ cargo build --release
 echo "==> cargo test -q (workspace)"
 cargo test --workspace -q
 
+echo "==> perfbench self-test (engine-intrinsic benchmark, its own workspace)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> crash-recovery torture harness (seeded crash schedules)"
 cargo test -q --test recovery_torture
 

@@ -202,7 +202,7 @@ fn run_schedule(point: CrashPoint, round: u64, vacuum: bool, paged: bool) -> Fin
         );
 
         // Recover inside the simulation: replay and the recovered
-        // database's WAL daemon are part of the same schedule.
+        // database's commits are part of the same schedule.
         let image = bank.db().durable_image();
         let (rdb, rtables, rec) = recover_database(
             EngineConfig::functional().with_storage(storage_for(paged)),
@@ -224,10 +224,6 @@ fn run_schedule(point: CrashPoint, round: u64, vacuum: bool, paged: bool) -> Fin
             total_balance(rbank.db(), rbank.tables()).as_cents(),
             recovered + 7
         );
-        // Drop both databases before the closure returns so their WAL
-        // daemons join and the scheduler sees every task finish.
-        drop(rbank);
-        drop(bank);
         (history, audit, recovered)
     });
 
