@@ -7,7 +7,7 @@
 //! went in each extreme.
 
 use sicost_bench::{BenchMode, BenchReport};
-use sicost_driver::{lock_wait_report, repeat_summary, run, RetryPolicy, RunConfig, Series};
+use sicost_driver::{repeat_summary, run, LockWaitReport, Report, RetryPolicy, RunConfig, Series};
 use sicost_engine::EngineConfig;
 use sicost_smallbank::{
     MixWeights, SmallBank, SmallBankConfig, SmallBankDriver, SmallBankWorkload, Strategy,
@@ -106,7 +106,7 @@ fn main() {
                 .with_seed(0xA6)
                 .with_retry(RetryPolicy::disabled()),
         );
-        let breakdown = lock_wait_report(&driver.bank().db().metrics().lock_waits);
+        let breakdown = LockWaitReport(&driver.bank().db().metrics().lock_waits).render();
         println!("\nlock-wait breakdown, shards={shards}, MPL {top_mpl:.0}:");
         println!("{breakdown}");
         report.notes.push(format!(

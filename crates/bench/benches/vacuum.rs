@@ -26,7 +26,8 @@
 use sicost_bench::{BenchMode, BenchReport};
 use sicost_common::{OnlineStats, Summary};
 use sicost_driver::{
-    run, run_open, vacuum_report, AdmissionPolicy, ArrivalProcess, OpenConfig, RunConfig, Series,
+    run, run_open, AdmissionPolicy, ArrivalProcess, OpenConfig, Report, RunConfig, Series,
+    VacuumReport,
 };
 use sicost_engine::{CcMode, EngineConfig, VacuumPolicy};
 use sicost_smallbank::{
@@ -314,7 +315,7 @@ fn main() {
 
     // The driver's GC view of the final GC-on engine.
     let final_metrics = on_bank.db().metrics();
-    println!("\n{}", vacuum_report(&final_metrics));
+    println!("\n{}", VacuumReport(&final_metrics).render());
 
     // --- Report.
     let mut report = BenchReport::new(

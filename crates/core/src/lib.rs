@@ -31,7 +31,6 @@
 
 #![deny(missing_docs)]
 
-pub mod advisor;
 pub mod cover;
 pub mod program;
 pub mod render;
@@ -39,7 +38,6 @@ pub mod robustness;
 pub mod sdg;
 pub mod strategy;
 
-pub use advisor::{advise, Advice, Recommendation};
 pub use cover::{minimal_edge_cover, CoverSolution, EdgeCost};
 pub use program::{Access, AccessMode, KeySpec, Program};
 pub use robustness::{check, CostDelta, FixEdge, RobustnessReport, Witness, WorkloadSpec};

@@ -35,9 +35,8 @@ pub use hooks::{AttemptObserver, NullAttemptObserver};
 pub use metrics::{KindMetrics, OpenKindMetrics, OpenMetrics, Outcome, RunMetrics};
 pub use open_runner::{run_open, OpenConfig};
 pub use report::{
-    ascii_chart, checkpoint_report, csv_table, latency_report, lock_wait_report, render_table,
-    retry_report, vacuum_report, CheckpointReport, LatencyReport, LockWaitReport, OpenLoopReport,
-    Report, RetryReport, Series, SeriesPoint, VacuumReport,
+    ascii_chart, csv_table, render_table, CheckpointReport, LatencyReport, LockWaitReport,
+    OpenLoopReport, Report, RetryReport, Series, SeriesPoint, VacuumReport,
 };
 pub use retry::{RetryDecision, RetryPolicy};
 pub use runner::{repeat_summary, run, RunConfig, Workload};

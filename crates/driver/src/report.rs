@@ -4,10 +4,8 @@
 //!
 //! Every diagnostic view implements the [`Report`] trait — a name plus a
 //! `render` — so harnesses can collect heterogeneous reports in one
-//! `Vec<Box<dyn Report>>` and print them uniformly. The historical free
-//! functions (`retry_report`, `latency_report`, `lock_wait_report`,
-//! `checkpoint_report`) remain as thin conveniences over the trait
-//! implementations.
+//! `Vec<Box<dyn Report>>` and print them uniformly; a single view prints
+//! as e.g. `RetryReport(&metrics).render()`.
 
 use crate::metrics::{OpenMetrics, RunMetrics};
 use sicost_common::{LockWait, Summary};
@@ -24,27 +22,44 @@ pub trait Report {
     fn render(&self) -> String;
 }
 
-/// [`Report`] over a run's retry/goodput profile (see [`retry_report`]).
+/// [`Report`] over the attempts-vs-goodput profile of one run: per kind,
+/// the commit count, every abort class, mean retries per commit,
+/// give-ups and mean retry time — the view that separates what clients
+/// *submitted* from what the system *got done*.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryReport<'a>(pub &'a RunMetrics);
 
-/// [`Report`] over a run's per-kind response-time distribution (see
-/// [`latency_report`]).
+/// [`Report`] over the per-kind response-time distribution of one run:
+/// commit count and p50/p90/p99/max/mean latency per transaction kind,
+/// from the driver's per-kind histograms. Kinds that committed nothing
+/// in the window render as zero durations (never NaN — the histogram
+/// quantile is zero-safe on empty samples).
 #[derive(Debug, Clone, Copy)]
 pub struct LatencyReport<'a>(pub &'a RunMetrics);
 
-/// [`Report`] over an engine's per-lock-class contention breakdown (see
-/// [`lock_wait_report`]).
+/// [`Report`] over an engine's per-lock-class contention breakdown: one
+/// row per named lock class with acquisition count, how many
+/// acquisitions contended, total blocked wall-clock, mean wait per
+/// acquisition and the contention ratio — the view that shows *which*
+/// serialization point the commit pipeline's wall-clock went to.
 #[derive(Debug, Clone, Copy)]
 pub struct LockWaitReport<'a>(pub &'a [LockWait]);
 
-/// [`Report`] over an engine's durability/recovery counters (see
-/// [`checkpoint_report`]).
+/// [`Report`] over an engine's durability/recovery counters:
+/// checkpoints taken, WAL bytes reclaimed by truncation, and (for a
+/// database built through crash recovery) how many log-suffix bytes
+/// replay had to read — the view that shows whether checkpointing is
+/// keeping restart cost proportional to the delta rather than the
+/// history.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointReport<'a>(pub &'a sicost_engine::EngineMetrics);
 
-/// [`Report`] over an engine's version-GC / memory-model counters (see
-/// [`vacuum_report`]).
+/// [`Report`] over an engine's version-GC and memory-model counters:
+/// vacuum runs, versions and SSI bookkeeping records reclaimed, GC pause
+/// time, the live max-chain-length / SIREAD gauges the watermark
+/// protocol is meant to hold flat, and commit-timestamp publication
+/// batching — the view that shows whether sustained load is reaching a
+/// memory steady state.
 #[derive(Debug, Clone, Copy)]
 pub struct VacuumReport<'a>(pub &'a sicost_engine::EngineMetrics);
 
@@ -370,50 +385,6 @@ pub fn csv_table(x_label: &str, series: &[Series]) -> String {
     out
 }
 
-/// Renders the attempts-vs-goodput profile of one run: per kind, the
-/// commit count, every abort class, mean retries per commit, give-ups and
-/// mean retry time — the view that separates what clients *submitted*
-/// from what the system *got done*.
-pub fn retry_report(m: &RunMetrics) -> String {
-    RetryReport(m).render()
-}
-
-/// Renders the per-kind response-time distribution of one run: commit
-/// count and p50/p90/p99/max/mean latency per transaction kind, from the
-/// driver's per-kind histograms. Kinds that committed nothing in the
-/// window render as zero durations (never NaN — the histogram quantile is
-/// zero-safe on empty samples).
-pub fn latency_report(m: &RunMetrics) -> String {
-    LatencyReport(m).render()
-}
-
-/// Renders an engine's per-lock-class contention breakdown: one row per
-/// named lock class with acquisition count, how many acquisitions
-/// contended, total blocked wall-clock, mean wait per acquisition and the
-/// contention ratio — the view that shows *which* serialization point the
-/// commit pipeline's wall-clock went to.
-pub fn lock_wait_report(classes: &[LockWait]) -> String {
-    LockWaitReport(classes).render()
-}
-
-/// Renders an engine's durability/recovery counters: checkpoints taken,
-/// WAL bytes reclaimed by truncation, and (for a database built through
-/// crash recovery) how many log-suffix bytes replay had to read — the
-/// view that shows whether checkpointing is keeping restart cost
-/// proportional to the delta rather than the history.
-pub fn checkpoint_report(m: &sicost_engine::EngineMetrics) -> String {
-    CheckpointReport(m).render()
-}
-
-/// Renders an engine's version-GC and memory-model counters: vacuum runs,
-/// versions and SSI bookkeeping records reclaimed, GC pause time, the
-/// live max-chain-length / SIREAD gauges the watermark protocol is meant
-/// to hold flat, and commit-timestamp publication batching — the view
-/// that shows whether sustained load is reaching a memory steady state.
-pub fn vacuum_report(m: &sicost_engine::EngineMetrics) -> String {
-    VacuumReport(m).render()
-}
-
 /// A rough terminal line chart (height rows, one glyph per series),
 /// enough to eyeball the figure shapes in CI logs.
 pub fn ascii_chart(series: &[Series], height: usize) -> String {
@@ -531,7 +502,7 @@ mod tests {
         k.record_commit_op(3, Duration::from_millis(2));
         m.per_kind[1].record_give_up();
         m.measured = Duration::from_secs(1);
-        let r = retry_report(&m);
+        let r = RetryReport(&m).render();
         assert!(r.contains("bal"), "{r}");
         assert!(r.contains("2.00"), "retries/commit column: {r}");
         assert!(r.contains("goodput 1.0 tps from 3 attempts"), "{r}");
@@ -555,7 +526,7 @@ mod tests {
                 wait: Duration::ZERO,
             },
         ];
-        let r = lock_wait_report(&classes);
+        let r = LockWaitReport(&classes).render();
         assert!(r.contains("commit.seq"), "{r}");
         assert!(r.contains("commit.install"), "{r}");
         assert!(r.contains("25.0%"), "contention ratio column: {r}");
@@ -570,7 +541,7 @@ mod tests {
             recovery_replay_bytes: 128,
             ..Default::default()
         };
-        let r = checkpoint_report(&m);
+        let r = CheckpointReport(&m).render();
         assert!(r.contains("checkpoints taken"), "{r}");
         assert!(r.contains("4096"), "{r}");
         assert!(r.contains("recovery replay bytes"), "{r}");
@@ -586,7 +557,7 @@ mod tests {
             m.per_kind[0].record(Outcome::Committed, Duration::from_millis(ms));
         }
         m.measured = Duration::from_secs(1);
-        let r = latency_report(&m);
+        let r = LatencyReport(&m).render();
         assert!(r.contains("bal"), "{r}");
         assert!(r.contains("p99"), "{r}");
         assert!(r.contains("overall: 4 commits"), "{r}");
@@ -611,13 +582,13 @@ mod tests {
         assert_eq!(m.tps(), 0.0, "zero commits must yield 0 tps, not NaN");
         assert_eq!(m.retries_per_commit(), 0.0);
         assert_eq!(m.mean_latency(), Duration::ZERO);
-        for text in [retry_report(&m), latency_report(&m)] {
+        for text in [RetryReport(&m).render(), LatencyReport(&m).render()] {
             assert!(!text.contains("NaN"), "{text}");
             assert!(!text.contains("inf"), "{text}");
         }
         // And the degenerate zero-measured-duration window.
         m.measured = Duration::ZERO;
-        let text = retry_report(&m);
+        let text = RetryReport(&m).render();
         assert!(!text.contains("NaN") && !text.contains("inf"), "{text}");
         // An all-idle lock-class breakdown (zero acquisitions) likewise.
         let idle = vec![LockWait {
@@ -626,7 +597,7 @@ mod tests {
             contended: 0,
             wait: std::time::Duration::ZERO,
         }];
-        let text = lock_wait_report(&idle);
+        let text = LockWaitReport(&idle).render();
         assert!(!text.contains("NaN") && !text.contains("inf"), "{text}");
     }
 
@@ -673,17 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn free_functions_delegate_to_the_trait() {
-        let m = RunMetrics::new(vec!["bal"], 1);
-        assert_eq!(retry_report(&m), RetryReport(&m).render());
-        assert_eq!(latency_report(&m), LatencyReport(&m).render());
-        assert_eq!(lock_wait_report(&[]), LockWaitReport(&[]).render());
-        let e = sicost_engine::EngineMetrics::default();
-        assert_eq!(checkpoint_report(&e), CheckpointReport(&e).render());
-        assert_eq!(vacuum_report(&e), VacuumReport(&e).render());
-    }
-
-    #[test]
     fn vacuum_report_shows_gc_counters_and_gauges() {
         use std::time::Duration;
         let m = sicost_engine::EngineMetrics {
@@ -697,7 +657,7 @@ mod tests {
             publish_batched_commits: 25,
             ..Default::default()
         };
-        let r = vacuum_report(&m);
+        let r = VacuumReport(&m).render();
         assert!(r.contains("vacuum runs"), "{r}");
         assert!(r.contains("1200"), "{r}");
         assert!(r.contains("ssi records reclaimed"), "{r}");
@@ -706,7 +666,7 @@ mod tests {
         assert!(r.contains("max chain length"), "{r}");
         assert!(r.contains("2.50"), "mean publish batch = 25/10: {r}");
         // Zeroed metrics must render totally (no NaN from 0/0 means).
-        let empty = vacuum_report(&sicost_engine::EngineMetrics::default());
+        let empty = VacuumReport(&sicost_engine::EngineMetrics::default()).render();
         assert!(!empty.contains("NaN") && !empty.contains("inf"), "{empty}");
     }
 

@@ -8,7 +8,8 @@
 //! simulated network ([`simnet`]), the per-connection server state
 //! machine and multi-client TCP front-end ([`server`]), a pipelining
 //! client with a connection pool ([`client`]), and the SmallBank
-//! procedures re-coded as remote programs ([`remote`]).
+//! programs run over the wire ([`remote`]) from the same coding the
+//! in-process bank runs.
 //!
 //! Under the simulated network every byte of the exchange is scheduled
 //! by `sicost-sim`'s cooperative scheduler, so a full client/server

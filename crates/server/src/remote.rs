@@ -1,23 +1,24 @@
 //! The SmallBank procedures executed over the wire, plus the driver
 //! adapter that makes the remote bank a measurable [`Workload`].
 //!
-//! [`RemoteBank`] mirrors the *base coding* of the five programs in
-//! `sicost_smallbank::procs` statement for statement (same reads, same
-//! arithmetic, same rollback rules) — the only difference is that every
-//! statement is a protocol round trip and the trailing balance writes
-//! are pipelined into the commit flush. Strategy modifications are a
-//! server-side concern the remote coding does not replicate; the
-//! client/server equivalence tests therefore compare against
-//! `Strategy::BaseSI` under each concurrency-control mode.
+//! [`RemoteBank`] runs the one coding of the five programs,
+//! [`Programs`], over a [`ClientTxn`]: the client transaction implements
+//! [`Statements`], so the remote bank issues the same statements in the
+//! same order as the in-process bank. Every read is a protocol round
+//! trip; updates are pipelined, so a program's trailing writes ride in
+//! the commit's network flush. The remote bank runs
+//! `Strategy::BaseSI`, the coding the client/server equivalence tests
+//! compare under each concurrency-control mode.
 
 use crate::client::{ClientError, ClientPool, ClientTxn, CommitOutcome};
 use crate::transport::Transport;
 use sicost_common::{Money, TableId, Xoshiro256};
 use sicost_driver::{Outcome, Workload};
 use sicost_engine::TxnError;
+use sicost_smallbank::driver_adapter::classify;
 use sicost_smallbank::schema::Tables;
 use sicost_smallbank::workload::TxnRequest;
-use sicost_smallbank::{SbError, SmallBankWorkload, TxnKind};
+use sicost_smallbank::{Programs, SbError, SmallBankWorkload, Statements, Strategy, TxnKind};
 use sicost_storage::{Row, Value};
 
 /// How a remote procedure failed.
@@ -33,12 +34,6 @@ pub enum RemoteError {
     /// transaction may or may not have applied — only the database
     /// knows (the recovery-torture oracle's *undecided* class).
     Indeterminate(ClientError),
-}
-
-impl From<TxnError> for RemoteError {
-    fn from(e: TxnError) -> Self {
-        RemoteError::Sb(SbError::Txn(e))
-    }
 }
 
 impl std::fmt::Display for RemoteError {
@@ -60,11 +55,26 @@ impl RemoteError {
     }
 }
 
-/// The SmallBank client application: a connection pool plus the table
-/// ids learned from the handshake catalog.
+impl<T: Transport> Statements for ClientTxn<'_, T> {
+    fn read(&mut self, table: TableId, key: &Value) -> Result<Option<Row>, TxnError> {
+        ClientTxn::read(self, table, key)
+    }
+
+    fn read_for_update(&mut self, table: TableId, key: &Value) -> Result<Option<Row>, TxnError> {
+        ClientTxn::read_for_update(self, table, key)
+    }
+
+    /// Pipelined: the reply is drained by the next read or by commit.
+    fn update(&mut self, table: TableId, key: &Value, row: Row) -> Result<(), TxnError> {
+        self.update_pipelined(table, key, row)
+    }
+}
+
+/// The SmallBank client application: a connection pool plus the
+/// programs, bound to the table ids learned from the handshake catalog.
 pub struct RemoteBank<T: Transport> {
     pool: ClientPool<T>,
-    tables: Tables,
+    programs: Programs,
 }
 
 fn commit_outcome(outcome: CommitOutcome) -> Result<(), RemoteError> {
@@ -92,20 +102,23 @@ impl<T: Transport> RemoteBank<T> {
                 conflict: find("Conflict")?,
             })
         })??;
-        Ok(Self { pool, tables })
+        let programs = Programs {
+            tables,
+            mods: Strategy::BaseSI.mods(),
+        };
+        Ok(Self { pool, programs })
     }
 
     /// The table ids in use.
     pub fn tables(&self) -> &Tables {
-        &self.tables
+        &self.programs.tables
     }
 
-    /// Runs `body` inside a fresh transaction on a pooled connection.
-    /// `body` returns the pipelined-commit decision implicitly: it gets
-    /// the open transaction and must end it (commit happens here).
+    /// Runs `program` inside a fresh transaction on a pooled connection,
+    /// committing on success and rolling back on error.
     fn transact<R>(
         &self,
-        body: impl FnOnce(&mut ClientTxn<'_, T>) -> Result<R, RemoteError>,
+        program: impl FnOnce(&mut ClientTxn<'_, T>) -> Result<R, SbError>,
     ) -> Result<R, RemoteError> {
         let mut client = match self.pool.checkout() {
             Ok(c) => c,
@@ -113,11 +126,11 @@ impl<T: Transport> RemoteBank<T> {
         };
         let result = (|| {
             let mut txn = client.begin().map_err(RemoteError::NotCommitted)?;
-            match body(&mut txn) {
+            match program(&mut txn) {
                 Ok(r) => commit_outcome(txn.commit()).map(|()| r),
                 Err(e) => {
                     txn.rollback();
-                    Err(e)
+                    Err(RemoteError::Sb(e))
                 }
             }
         })();
@@ -125,116 +138,30 @@ impl<T: Transport> RemoteBank<T> {
         result
     }
 
-    /// `SELECT CustomerId FROM Account WHERE Name = :n` — the shared
-    /// lookup fragment.
-    fn lookup_cid(&self, txn: &mut ClientTxn<'_, T>, name: &str) -> Result<Option<i64>, TxnError> {
-        Ok(txn
-            .read(self.tables.account, &Value::str(name))?
-            .map(|row| row.int(1)))
-    }
-
-    fn read_balance(
-        &self,
-        txn: &mut ClientTxn<'_, T>,
-        table: TableId,
-        cid: i64,
-    ) -> Result<Money, TxnError> {
-        let row = txn.read(table, &Value::int(cid))?;
-        Ok(row.map(|r| Money::cents(r.int(1))).unwrap_or(Money::ZERO))
-    }
-
-    /// Pipelined balance write: rides in the commit's network flush.
-    fn write_balance(
-        &self,
-        txn: &mut ClientTxn<'_, T>,
-        table: TableId,
-        cid: i64,
-        balance: Money,
-    ) -> Result<(), TxnError> {
-        txn.update_pipelined(
-            table,
-            &Value::int(cid),
-            Row::new(vec![Value::int(cid), Value::int(balance.as_cents())]),
-        )
-    }
-
-    /// `Balance(N)` — base coding (read-only).
+    /// [`Programs::balance`] over the wire.
     pub fn balance(&self, name: &str) -> Result<Money, RemoteError> {
-        self.transact(|txn| {
-            let Some(cid) = self.lookup_cid(txn, name)? else {
-                return Err(RemoteError::Sb(SbError::AccountMissing));
-            };
-            let sav = self.read_balance(txn, self.tables.saving, cid)?;
-            let chk = self.read_balance(txn, self.tables.checking, cid)?;
-            Ok(sav + chk)
-        })
+        self.transact(|txn| self.programs.balance(txn, name))
     }
 
-    /// `DepositChecking(N, V)` — base coding.
+    /// [`Programs::deposit_checking`] over the wire.
     pub fn deposit_checking(&self, name: &str, v: Money) -> Result<(), RemoteError> {
-        if v.is_negative() {
-            return Err(RemoteError::Sb(SbError::InvalidAmount));
-        }
-        self.transact(|txn| {
-            let Some(cid) = self.lookup_cid(txn, name)? else {
-                return Err(RemoteError::Sb(SbError::AccountMissing));
-            };
-            let chk = self.read_balance(txn, self.tables.checking, cid)?;
-            self.write_balance(txn, self.tables.checking, cid, chk + v)?;
-            Ok(())
-        })
+        Programs::check_deposit(v).map_err(RemoteError::Sb)?;
+        self.transact(|txn| self.programs.deposit_checking(txn, name, v))
     }
 
-    /// `TransactSaving(N, V)` — base coding.
+    /// [`Programs::transact_saving`] over the wire.
     pub fn transact_saving(&self, name: &str, v: Money) -> Result<(), RemoteError> {
-        self.transact(|txn| {
-            let Some(cid) = self.lookup_cid(txn, name)? else {
-                return Err(RemoteError::Sb(SbError::AccountMissing));
-            };
-            let sav = self.read_balance(txn, self.tables.saving, cid)?;
-            let new = sav + v;
-            if new.is_negative() {
-                return Err(RemoteError::Sb(SbError::InsufficientFunds));
-            }
-            self.write_balance(txn, self.tables.saving, cid, new)?;
-            Ok(())
-        })
+        self.transact(|txn| self.programs.transact_saving(txn, name, v))
     }
 
-    /// `Amalgamate(N1, N2)` — base coding.
+    /// [`Programs::amalgamate`] over the wire.
     pub fn amalgamate(&self, n1: &str, n2: &str) -> Result<(), RemoteError> {
-        self.transact(|txn| {
-            let (Some(cid1), Some(cid2)) = (self.lookup_cid(txn, n1)?, self.lookup_cid(txn, n2)?)
-            else {
-                return Err(RemoteError::Sb(SbError::AccountMissing));
-            };
-            let sav1 = self.read_balance(txn, self.tables.saving, cid1)?;
-            let chk1 = self.read_balance(txn, self.tables.checking, cid1)?;
-            let chk2 = self.read_balance(txn, self.tables.checking, cid2)?;
-            self.write_balance(txn, self.tables.saving, cid1, Money::ZERO)?;
-            self.write_balance(txn, self.tables.checking, cid1, Money::ZERO)?;
-            self.write_balance(txn, self.tables.checking, cid2, chk2 + sav1 + chk1)?;
-            Ok(())
-        })
+        self.transact(|txn| self.programs.amalgamate(txn, n1, n2))
     }
 
-    /// `WriteCheck(N, V)` — base coding (no table lock; the pivot-lock
-    /// variant is a server-side strategy).
+    /// [`Programs::write_check`] over the wire.
     pub fn write_check(&self, name: &str, v: Money) -> Result<(), RemoteError> {
-        self.transact(|txn| {
-            let Some(cid) = self.lookup_cid(txn, name)? else {
-                return Err(RemoteError::Sb(SbError::AccountMissing));
-            };
-            let sav = self.read_balance(txn, self.tables.saving, cid)?;
-            let chk = self.read_balance(txn, self.tables.checking, cid)?;
-            let charge = if (sav + chk) < v {
-                v + Money::dollars(1)
-            } else {
-                v
-            };
-            self.write_balance(txn, self.tables.checking, cid, chk - charge)?;
-            Ok(())
-        })
+        self.transact(|txn| self.programs.write_check(txn, name, v))
     }
 
     /// Dispatches one sampled request.
@@ -263,12 +190,7 @@ impl<T: Transport> RemoteBank<T> {
 pub fn classify_remote(result: Result<(), RemoteError>) -> Outcome {
     match result {
         Ok(()) => Outcome::Committed,
-        Err(RemoteError::Sb(SbError::Txn(TxnError::Deadlock))) => Outcome::Deadlock,
-        Err(RemoteError::Sb(SbError::Txn(TxnError::Transient(_)))) => Outcome::TransientFault,
-        Err(RemoteError::Sb(SbError::Txn(e))) if e.is_serialization_failure() => {
-            Outcome::SerializationFailure
-        }
-        Err(RemoteError::Sb(_)) => Outcome::ApplicationRollback,
+        Err(RemoteError::Sb(e)) => classify(Err(e)),
         Err(RemoteError::NotCommitted(_)) => Outcome::TransientFault,
         Err(RemoteError::Indeterminate(_)) => Outcome::Indeterminate,
     }

@@ -8,6 +8,9 @@
 //!   simulated network is a pure function of its seed: two same-seed
 //!   runs replay byte-identically (same `SimReport`, same outcomes).
 //! * The real TCP backend serves the same protocol (loopback smoke).
+//! * Each program's wire shape (frames sent, round trips) is pinned, so
+//!   a write that waits for its reply instead of riding the commit
+//!   flush shows up as an extra round trip.
 //! * `run_open` drives the remote workload through a client transport,
 //!   with queue delay visible to the `attempt_queued` hook and the
 //!   server side rendered as `sicost-trace` JSONL spans.
@@ -18,7 +21,7 @@ use sicost_driver::{run_open, AttemptObserver, OpenConfig, Outcome, Workload};
 use sicost_engine::{CcMode, Database, EngineConfig, HistoryObserver};
 use sicost_server::{
     classify_remote, serve_connection, Client, ClientError, ClientPool, NetError, RemoteBank,
-    RemoteWorkload, SimNet, SimNetConfig, SimTransport, TcpServer, TcpTransport,
+    RemoteWorkload, SimNet, SimNetConfig, SimTransport, TcpServer, TcpTransport, Transport,
 };
 use sicost_sim::Sim;
 use sicost_smallbank::driver_adapter::SmallBankDriver;
@@ -51,14 +54,16 @@ fn params() -> WorkloadParams {
 
 type ServeHandles = Arc<StdMutex<Vec<SimJoinHandle<()>>>>;
 
-/// A client pool over the simulated network. Each dial spawns a
-/// dedicated server task for the new connection; the returned handle
-/// list must be joined after the pool is dropped.
-fn sim_pool(
+/// A client pool over the simulated network, each client end passed
+/// through `wrap`. Each dial spawns a dedicated server task for the new
+/// connection; the returned handle list must be joined after the pool
+/// is dropped.
+fn sim_pool<T: Transport + 'static>(
     db: &Arc<Database>,
     net: &Arc<SimNet>,
     connections: usize,
-) -> (ClientPool<SimTransport>, ServeHandles) {
+    wrap: impl Fn(SimTransport) -> T + Send + Sync + 'static,
+) -> (ClientPool<T>, ServeHandles) {
     let handles: ServeHandles = Arc::default();
     let pool = {
         let db = Arc::clone(db);
@@ -71,7 +76,7 @@ fn sim_pool(
                 let _ = serve_connection(&db, &mut server_end);
             });
             handles.lock().expect("handles lock").push(h);
-            Client::connect(client_end)
+            Client::connect(wrap(client_end))
         })
     };
     (pool, handles)
@@ -112,7 +117,7 @@ fn in_process_and_simulated_net_runs_are_equivalent() {
         let ((remote_outcomes, remote_total), _report) = Sim::new(0xC0FFEE).run(|| {
             let (db, tables) = arc_db(cc, None);
             let net = SimNet::new(SimNetConfig::clean(SEED));
-            let (pool, handles) = sim_pool(&db, &net, 1);
+            let (pool, handles) = sim_pool(&db, &net, 1, |t| t);
             let remote = RemoteBank::new(pool).expect("handshake");
             let workload = SmallBankWorkload::new(params());
             let mut rng = Xoshiro256::seed_from_u64(SEED);
@@ -162,7 +167,7 @@ fn concurrent_sim_run(seed: u64, clients: usize, per_client: usize) -> RunFinger
             let db = Arc::clone(&db);
             let net = Arc::clone(&net);
             workers.push(sim_spawn(&format!("client-{c}"), move || {
-                let (pool, handles) = sim_pool(&db, &net, 1);
+                let (pool, handles) = sim_pool(&db, &net, 1, |t| t);
                 let remote = RemoteBank::new(pool).expect("handshake");
                 let workload = SmallBankWorkload::new(params());
                 let mut rng = Xoshiro256::seed_from_u64(seed ^ ((c as u64) << 32));
@@ -213,6 +218,104 @@ fn same_seed_client_server_runs_replay_byte_identically() {
     assert_ne!(
         a.trace_hash, b.trace_hash,
         "schedules must depend on the seed"
+    );
+}
+
+/// Frames a client sent, and its round trips: each turn from sending
+/// to receiving.
+#[derive(Default)]
+struct WireCount {
+    frames: AtomicU64,
+    round_trips: AtomicU64,
+}
+
+/// A client transport that counts into a shared [`WireCount`].
+struct Counted {
+    inner: SimTransport,
+    count: Arc<WireCount>,
+    sent_since_recv: bool,
+}
+
+impl Transport for Counted {
+    fn send_frame(&mut self, payload: &[u8]) -> Result<(), NetError> {
+        self.count.frames.fetch_add(1, Ordering::Relaxed);
+        self.sent_since_recv = true;
+        self.inner.send_frame(payload)
+    }
+
+    fn recv_frame(&mut self) -> Result<Vec<u8>, NetError> {
+        if std::mem::take(&mut self.sent_since_recv) {
+            self.count.round_trips.fetch_add(1, Ordering::Relaxed);
+        }
+        self.inner.recv_frame()
+    }
+}
+
+#[test]
+fn each_program_keeps_its_wire_shape() {
+    let (shapes, _report) = Sim::new(0x5A4E).run(|| {
+        let (db, _tables) = arc_db(CcMode::SiFirstUpdaterWins, None);
+        let net = SimNet::new(SimNetConfig::clean(0x5A4E));
+        let count = Arc::new(WireCount::default());
+        let (pool, handles) = sim_pool(&db, &net, 1, {
+            let count = Arc::clone(&count);
+            move |inner| Counted {
+                inner,
+                count: Arc::clone(&count),
+                sent_since_recv: false,
+            }
+        });
+        // The handshake dials the pool's only connection; every program
+        // below runs on it warm.
+        let remote = RemoteBank::new(pool).expect("handshake");
+        let (n1, n2) = (customer_name(1), customer_name(2));
+        let v = Money::dollars(1);
+        let programs: [(&str, &dyn Fn() -> Outcome); 5] = [
+            ("Balance", &|| {
+                classify_remote(remote.balance(&n1).map(|_| ()))
+            }),
+            ("DepositChecking", &|| {
+                classify_remote(remote.deposit_checking(&n1, v))
+            }),
+            ("TransactSaving", &|| {
+                classify_remote(remote.transact_saving(&n1, v))
+            }),
+            ("Amalgamate", &|| {
+                classify_remote(remote.amalgamate(&n1, &n2))
+            }),
+            ("WriteCheck", &|| {
+                classify_remote(remote.write_check(&n1, v))
+            }),
+        ];
+        let shapes: Vec<(&str, u64, u64)> = programs
+            .into_iter()
+            .map(|(name, program)| {
+                let frames = count.frames.load(Ordering::Relaxed);
+                let round_trips = count.round_trips.load(Ordering::Relaxed);
+                assert_eq!(program(), Outcome::Committed, "{name}");
+                (
+                    name,
+                    count.frames.load(Ordering::Relaxed) - frames,
+                    count.round_trips.load(Ordering::Relaxed) - round_trips,
+                )
+            })
+            .collect();
+        drop(remote);
+        join_all(&handles);
+        shapes
+    });
+    // (program, frames sent, round trips). Begin and every read wait for
+    // their replies (Begin's is drained before the first read is sent);
+    // updates ride the commit's flush.
+    assert_eq!(
+        shapes,
+        [
+            ("Balance", 5, 5),
+            ("DepositChecking", 5, 4),
+            ("TransactSaving", 5, 4),
+            ("Amalgamate", 10, 7),
+            ("WriteCheck", 6, 5),
+        ]
     );
 }
 

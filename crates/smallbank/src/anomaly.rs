@@ -8,11 +8,12 @@
 //! shows. Under plain SI all three commit (non-serializable); under every
 //! correct strategy the engine aborts one of them.
 //!
-//! The script drives `WriteCheck` step-by-step through the raw engine API
-//! (with the strategy's extra statements included), because the anomaly
-//! needs its reads and writes separated in time; `TransactSaving` runs on
-//! its own thread (it may legitimately block on promoted locks) and
-//! `Balance` runs inline through the normal procedure.
+//! The script runs `WriteCheck`'s read half and write half from
+//! [`Programs`](crate::procs::Programs) (with the strategy's extra
+//! statements included) in one transaction, waiting between them,
+//! because the anomaly needs its reads and writes separated in time;
+//! `TransactSaving` runs on its own thread (it may legitimately block on
+//! promoted locks) and `Balance` runs inline through the normal procedure.
 
 use crate::procs::{SbError, SmallBank};
 use crate::schema::customer_name;
@@ -61,7 +62,6 @@ pub fn run_write_skew_script(bank: &SmallBank) -> AnomalyOutcome {
     let name = customer_name(0);
     let tables = *bank.tables();
     let db = bank.db();
-    let mods = bank.strategy().mods();
 
     // Deterministic starting state: both balances zero (setup-level load,
     // outside the measured interleaving).
@@ -78,99 +78,29 @@ pub fn run_write_skew_script(bank: &SmallBank) -> AnomalyOutcome {
     .expect("reset checking");
 
     let v = Money::dollars(10);
+    let programs = bank.programs();
 
     // ---- WC begins and performs its reads on the pre-TS snapshot.
     let mut wc = db.begin();
-    let mut wc_failed: Option<SbError> = None;
-    let mut sav_seen = Money::ZERO;
-    let mut chk_seen = Money::ZERO;
-    {
-        let step = (|| -> Result<(), SbError> {
-            let acct = wc
-                .read(tables.account, &Value::str(&name))?
-                .ok_or(SbError::AccountMissing)?;
-            let cid = acct.int(1);
-            let sav_row = if mods.wc_sfu_saving {
-                wc.read_for_update(tables.saving, &Value::int(cid))?
-            } else {
-                wc.read(tables.saving, &Value::int(cid))?
-            };
-            sav_seen = sav_row
-                .map(|r| Money::cents(r.int(1)))
-                .unwrap_or(Money::ZERO);
-            let chk_row = wc.read(tables.checking, &Value::int(cid))?;
-            chk_seen = chk_row
-                .map(|r| Money::cents(r.int(1)))
-                .unwrap_or(Money::ZERO);
-            Ok(())
-        })();
-        if let Err(e) = step {
-            wc_failed = Some(e);
-        }
-    }
+    let seen = programs.write_check_reads(&mut wc, &name);
 
     // ---- TS(+$20) runs concurrently on its own thread (it may block on
     // a promoted lock until WC finishes).
-    let (ts_result, balance_seen) = std::thread::scope(|s| {
+    let (ts_result, balance_seen, wc_result) = std::thread::scope(|s| {
         let ts_handle = s.spawn(|| bank.transact_saving(&name, Money::dollars(20)));
         // Give TS time to commit when it is not blocked.
         std::thread::sleep(std::time::Duration::from_millis(60));
         // ---- Bal observes the state between the two commits.
         let balance_seen = bank.balance(&name);
 
-        // ---- WC finishes on its original snapshot.
-        if wc_failed.is_none() {
-            let step = (|| -> Result<(), SbError> {
-                let charge = if sav_seen + chk_seen < v {
-                    v + Money::dollars(1)
-                } else {
-                    v
-                };
-                wc.update(
-                    tables.checking,
-                    &Value::int(cid),
-                    Row::new(vec![
-                        Value::int(cid),
-                        Value::int((chk_seen - charge).as_cents()),
-                    ]),
-                )?;
-                if mods.wc_ident_saving {
-                    wc.update(
-                        tables.saving,
-                        &Value::int(cid),
-                        Row::new(vec![Value::int(cid), Value::int(sav_seen.as_cents())]),
-                    )?;
-                }
-                if mods.wc_conflict {
-                    let key = Value::int(cid);
-                    let cur = wc
-                        .read(tables.conflict, &key)?
-                        .map(|r| r.int(1))
-                        .unwrap_or(0);
-                    wc.update(
-                        tables.conflict,
-                        &key,
-                        Row::new(vec![key.clone(), Value::int(cur + 1)]),
-                    )?;
-                }
-                Ok(())
-            })();
-            if let Err(e) = step {
-                wc_failed = Some(e);
-            }
-        }
-        let wc_result = match wc_failed.take() {
-            Some(e) => {
-                // The transaction may already be poisoned; dropping it is
-                // the rollback.
-                Err(e)
-            }
-            None => wc.commit().map(|_| ()).map_err(SbError::from),
-        };
+        // ---- WC finishes on its original snapshot. A failed step drops
+        // `wc`, which rolls it back.
+        let wc_result = seen
+            .and_then(|seen| programs.write_check_writes(&mut wc, seen, v))
+            .and_then(|()| Ok(wc.commit().map(|_| ())?));
         let ts_result = ts_handle.join().expect("TS thread");
-        (ts_result, (balance_seen, wc_result))
+        (ts_result, balance_seen, wc_result)
     });
-    let (balance_seen, wc_result) = balance_seen;
 
     // ---- Final state.
     let read_cents = |table| {

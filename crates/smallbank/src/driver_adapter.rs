@@ -25,7 +25,8 @@ impl SmallBankDriver {
     }
 }
 
-fn classify(result: Result<(), SbError>) -> Outcome {
+/// Maps a procedure's result into the driver's outcome taxonomy.
+pub fn classify(result: Result<(), SbError>) -> Outcome {
     match result {
         Ok(()) => Outcome::Committed,
         Err(SbError::Txn(TxnError::Deadlock)) => Outcome::Deadlock,

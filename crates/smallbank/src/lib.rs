@@ -11,9 +11,11 @@
 //! [`Strategy`] enumerates the nine program variants measured in the
 //! paper (plain SI, the WT/BW single-edge fixes by materialization and
 //! both promotions, and the MaterializeALL/PromoteALL sledgehammers);
-//! [`SmallBank`] executes the procedures against a
-//! [`sicost_engine::Database`] with the chosen strategy's extra
-//! statements; [`sdg_spec`] declares the same programs for
+//! [`Programs`] codes the five procedures once, with the chosen
+//! strategy's extra statements, over the [`Statements`] a transaction
+//! issues; [`SmallBank`] runs them against a [`sicost_engine::Database`],
+//! and `sicost-server`'s `RemoteBank` runs the same coding over the wire.
+//! [`sdg_spec`] declares the same programs for
 //! [`sicost_core`]'s static analysis so the tests can *prove* each
 //! strategy safe (or prove Base SI unsafe) and regenerate Figures 1–3
 //! and Table I; [`anomaly`] scripts the concrete non-serializable
@@ -30,7 +32,7 @@ pub mod strategy;
 pub mod workload;
 
 pub use driver_adapter::SmallBankDriver;
-pub use procs::{SbError, SmallBank};
+pub use procs::{Programs, SbError, SmallBank, Statements};
 pub use schema::{recover_database, schema_builder, SmallBankConfig};
 pub use sdg_spec::SmallBankSpec;
 pub use strategy::Strategy;

@@ -1,9 +1,13 @@
 //! The five SmallBank transaction programs (§III-B), with the strategy
 //! modifications woven in exactly where the paper's Table I puts them.
+//!
+//! [`Programs`] is the one coding of the programs, over the
+//! [`Statements`] trait; [`SmallBank`] runs it on an in-process
+//! [`Database`], and `sicost-server`'s `RemoteBank` runs it over the wire.
 
 use crate::schema::{build_database, SmallBankConfig, Tables};
 use crate::strategy::{Mods, Strategy};
-use sicost_common::Money;
+use sicost_common::{Money, TableId};
 use sicost_engine::{Database, EngineConfig, HistoryObserver, Transaction, TxnError};
 use sicost_storage::{Row, Value};
 use std::sync::Arc;
@@ -56,14 +60,271 @@ impl std::fmt::Display for SbError {
 
 impl std::error::Error for SbError {}
 
-/// The SmallBank application: a database, its table handles, and the
-/// strategy the procedures run with. Share behind an `Arc` across client
+/// The three statements the SmallBank programs issue, each a point
+/// access by primary key. The engine's [`Transaction`] implements them
+/// in process; `sicost-server`'s client transaction implements them over
+/// the wire, where it also decides which replies to wait for.
+pub trait Statements {
+    /// `SELECT * FROM table WHERE pk = :key`.
+    fn read(&mut self, table: TableId, key: &Value) -> Result<Option<Row>, TxnError>;
+    /// `SELECT * FROM table WHERE pk = :key FOR UPDATE`.
+    fn read_for_update(&mut self, table: TableId, key: &Value) -> Result<Option<Row>, TxnError>;
+    /// `UPDATE table SET … WHERE pk = :key`, replacing the row.
+    fn update(&mut self, table: TableId, key: &Value, row: Row) -> Result<(), TxnError>;
+}
+
+impl Statements for Transaction<'_> {
+    fn read(&mut self, table: TableId, key: &Value) -> Result<Option<Row>, TxnError> {
+        Transaction::read(self, table, key)
+    }
+
+    fn read_for_update(&mut self, table: TableId, key: &Value) -> Result<Option<Row>, TxnError> {
+        Transaction::read_for_update(self, table, key)
+    }
+
+    fn update(&mut self, table: TableId, key: &Value, row: Row) -> Result<(), TxnError> {
+        Transaction::update(self, table, key, row)
+    }
+}
+
+/// What WriteCheck's read half saw, carried to its write half.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckReads {
+    cid: i64,
+    saving: Money,
+    checking: Money,
+}
+
+/// The five SmallBank programs, each coded once over [`Statements`] with
+/// the extra statements its strategy adds (Table I). A program runs
+/// inside a transaction its caller began and ends: on `Err` the caller
+/// rolls back, on `Ok` it commits.
+#[derive(Debug, Clone, Copy)]
+pub struct Programs {
+    /// Table handles.
+    pub tables: Tables,
+    /// The strategy's modification flags.
+    pub mods: Mods,
+}
+
+impl Programs {
+    /// DepositChecking's amount rule, checked before `begin`: a negative
+    /// amount never opens a transaction.
+    pub fn check_deposit(v: Money) -> Result<(), SbError> {
+        if v.is_negative() {
+            Err(SbError::InvalidAmount)
+        } else {
+            Ok(())
+        }
+    }
+
+    // ----- shared fragments -------------------------------------------------
+
+    /// `SELECT CustomerId FROM Account WHERE Name = :n`
+    fn lookup_cid(&self, tx: &mut impl Statements, name: &str) -> Result<Option<i64>, TxnError> {
+        Ok(tx
+            .read(self.tables.account, &Value::str(name))?
+            .map(|row| row.int(1)))
+    }
+
+    fn read_balance(
+        &self,
+        tx: &mut impl Statements,
+        table: TableId,
+        cid: i64,
+        for_update: bool,
+    ) -> Result<Money, TxnError> {
+        let row = if for_update {
+            tx.read_for_update(table, &Value::int(cid))?
+        } else {
+            tx.read(table, &Value::int(cid))?
+        };
+        // Population guarantees a row per customer; a missing row would be
+        // an engine bug, but fail soft as zero like the SQL would (NULL sum).
+        Ok(row.map(|r| Money::cents(r.int(1))).unwrap_or(Money::ZERO))
+    }
+
+    fn write_balance(
+        &self,
+        tx: &mut impl Statements,
+        table: TableId,
+        cid: i64,
+        balance: Money,
+    ) -> Result<(), TxnError> {
+        tx.update(
+            table,
+            &Value::int(cid),
+            Row::new(vec![Value::int(cid), Value::int(balance.as_cents())]),
+        )
+    }
+
+    /// The identity update of promotion: `UPDATE t SET Balance = Balance
+    /// WHERE CustomerId = :cid`.
+    fn identity_update(
+        &self,
+        tx: &mut impl Statements,
+        table: TableId,
+        cid: i64,
+    ) -> Result<(), TxnError> {
+        let current = self.read_balance(tx, table, cid, false)?;
+        self.write_balance(tx, table, cid, current)
+    }
+
+    /// The materialization statement: `UPDATE Conflict SET Value = Value+1
+    /// WHERE Id = :cid`.
+    fn bump_conflict(&self, tx: &mut impl Statements, cid: i64) -> Result<(), TxnError> {
+        let key = Value::int(cid);
+        let row = tx.read(self.tables.conflict, &key)?;
+        let v = row.map(|r| r.int(1)).unwrap_or(0);
+        tx.update(
+            self.tables.conflict,
+            &key,
+            Row::new(vec![key.clone(), Value::int(v + 1)]),
+        )
+    }
+
+    // ----- the five programs ------------------------------------------------
+
+    /// `Balance(N)` — total of savings and checking (§III-B). Read-only in
+    /// the base coding; the BW/ALL strategies add writes here.
+    pub fn balance(&self, tx: &mut impl Statements, name: &str) -> Result<Money, SbError> {
+        let cid = self.lookup_cid(tx, name)?.ok_or(SbError::AccountMissing)?;
+        let sav = self.read_balance(tx, self.tables.saving, cid, false)?;
+        let chk = self.read_balance(tx, self.tables.checking, cid, self.mods.bal_sfu_checking)?;
+        if self.mods.bal_ident_saving {
+            self.identity_update(tx, self.tables.saving, cid)?;
+        }
+        if self.mods.bal_ident_checking {
+            self.identity_update(tx, self.tables.checking, cid)?;
+        }
+        if self.mods.bal_conflict {
+            self.bump_conflict(tx, cid)?;
+        }
+        Ok(sav + chk)
+    }
+
+    /// `DepositChecking(N, V)` (§III-B): rolls back on an unknown name. The
+    /// negative-`V` rule is [`Programs::check_deposit`], checked before
+    /// the transaction begins.
+    pub fn deposit_checking(
+        &self,
+        tx: &mut impl Statements,
+        name: &str,
+        v: Money,
+    ) -> Result<(), SbError> {
+        let cid = self.lookup_cid(tx, name)?.ok_or(SbError::AccountMissing)?;
+        let chk = self.read_balance(tx, self.tables.checking, cid, false)?;
+        self.write_balance(tx, self.tables.checking, cid, chk + v)?;
+        if self.mods.dc_conflict {
+            self.bump_conflict(tx, cid)?;
+        }
+        Ok(())
+    }
+
+    /// `TransactSaving(N, V)` (§III-B): deposit or withdrawal on savings;
+    /// rolls back if the result would be negative or the name is unknown.
+    pub fn transact_saving(
+        &self,
+        tx: &mut impl Statements,
+        name: &str,
+        v: Money,
+    ) -> Result<(), SbError> {
+        let cid = self.lookup_cid(tx, name)?.ok_or(SbError::AccountMissing)?;
+        let new = self.read_balance(tx, self.tables.saving, cid, false)? + v;
+        if new.is_negative() {
+            return Err(SbError::InsufficientFunds);
+        }
+        self.write_balance(tx, self.tables.saving, cid, new)?;
+        if self.mods.ts_conflict {
+            self.bump_conflict(tx, cid)?;
+        }
+        Ok(())
+    }
+
+    /// `Amalgamate(N1, N2)` (§III-B): moves all funds of `n1` to `n2`'s
+    /// checking account. Both names are looked up before either can fail.
+    pub fn amalgamate(&self, tx: &mut impl Statements, n1: &str, n2: &str) -> Result<(), SbError> {
+        let (Some(cid1), Some(cid2)) = (self.lookup_cid(tx, n1)?, self.lookup_cid(tx, n2)?) else {
+            return Err(SbError::AccountMissing);
+        };
+        let sav1 = self.read_balance(tx, self.tables.saving, cid1, false)?;
+        let chk1 = self.read_balance(tx, self.tables.checking, cid1, false)?;
+        let chk2 = self.read_balance(tx, self.tables.checking, cid2, false)?;
+        self.write_balance(tx, self.tables.saving, cid1, Money::ZERO)?;
+        self.write_balance(tx, self.tables.checking, cid1, Money::ZERO)?;
+        self.write_balance(tx, self.tables.checking, cid2, chk2 + sav1 + chk1)?;
+        if self.mods.amg_conflict {
+            self.bump_conflict(tx, cid1)?;
+            self.bump_conflict(tx, cid2)?;
+        }
+        Ok(())
+    }
+
+    /// `WriteCheck(N, V)` (§III-B / Program 1): charges `V` against
+    /// checking, with a $1 overdraft penalty when savings+checking can't
+    /// cover it. Its two halves are public so a script can run other
+    /// transactions between them.
+    pub fn write_check(
+        &self,
+        tx: &mut impl Statements,
+        name: &str,
+        v: Money,
+    ) -> Result<(), SbError> {
+        let seen = self.write_check_reads(tx, name)?;
+        self.write_check_writes(tx, seen, v)
+    }
+
+    /// WriteCheck's reads: the customer id, then savings and checking.
+    pub fn write_check_reads(
+        &self,
+        tx: &mut impl Statements,
+        name: &str,
+    ) -> Result<CheckReads, SbError> {
+        let cid = self.lookup_cid(tx, name)?.ok_or(SbError::AccountMissing)?;
+        let saving = self.read_balance(tx, self.tables.saving, cid, self.mods.wc_sfu_saving)?;
+        let checking = self.read_balance(tx, self.tables.checking, cid, false)?;
+        Ok(CheckReads {
+            cid,
+            saving,
+            checking,
+        })
+    }
+
+    /// WriteCheck's writes, decided by the balances its reads saw.
+    pub fn write_check_writes(
+        &self,
+        tx: &mut impl Statements,
+        seen: CheckReads,
+        v: Money,
+    ) -> Result<(), SbError> {
+        let CheckReads {
+            cid,
+            saving,
+            checking,
+        } = seen;
+        let charge = if (saving + checking) < v {
+            v + Money::dollars(1)
+        } else {
+            v
+        };
+        self.write_balance(tx, self.tables.checking, cid, checking - charge)?;
+        if self.mods.wc_ident_saving {
+            self.write_balance(tx, self.tables.saving, cid, saving)?;
+        }
+        if self.mods.wc_conflict {
+            self.bump_conflict(tx, cid)?;
+        }
+        Ok(())
+    }
+}
+
+/// The SmallBank application: a database, and the programs as the
+/// chosen strategy modifies them. Share behind an `Arc` across client
 /// threads.
 pub struct SmallBank {
     db: Database,
-    tables: Tables,
     strategy: Strategy,
-    mods: Mods,
+    programs: Programs,
 }
 
 impl SmallBank {
@@ -80,12 +341,7 @@ impl SmallBank {
         observer: Option<Arc<dyn HistoryObserver>>,
     ) -> Self {
         let (db, tables) = build_database(config, engine, observer);
-        Self {
-            db,
-            tables,
-            strategy,
-            mods: strategy.mods(),
-        }
+        Self::adopt(db, tables, strategy)
     }
 
     /// Wraps an existing database (e.g. one rebuilt by crash recovery
@@ -93,9 +349,11 @@ impl SmallBank {
     pub fn adopt(db: Database, tables: Tables, strategy: Strategy) -> Self {
         Self {
             db,
-            tables,
             strategy,
-            mods: strategy.mods(),
+            programs: Programs {
+                tables,
+                mods: strategy.mods(),
+            },
         }
     }
 
@@ -106,7 +364,7 @@ impl SmallBank {
 
     /// Table handles.
     pub fn tables(&self) -> &Tables {
-        &self.tables
+        &self.programs.tables
     }
 
     /// The strategy in force.
@@ -114,170 +372,52 @@ impl SmallBank {
         self.strategy
     }
 
+    /// The programs as the strategy modifies them.
+    pub(crate) fn programs(&self) -> &Programs {
+        &self.programs
+    }
+
     /// Total money in the bank (conservation oracle).
     pub fn total_balance(&self) -> Money {
-        crate::schema::total_balance(&self.db, &self.tables)
+        crate::schema::total_balance(&self.db, self.tables())
     }
 
-    // ----- shared fragments -------------------------------------------------
-
-    /// `SELECT CustomerId FROM Account WHERE Name = :n`
-    fn lookup_cid(&self, tx: &mut Transaction<'_>, name: &str) -> Result<Option<i64>, TxnError> {
-        Ok(tx
-            .read(self.tables.account, &Value::str(name))?
-            .map(|row| row.int(1)))
-    }
-
-    fn read_balance(
+    /// Runs `program` in a fresh transaction and commits it. On error the
+    /// transaction is dropped, which rolls it back.
+    fn run<R>(
         &self,
-        tx: &mut Transaction<'_>,
-        table: sicost_common::TableId,
-        cid: i64,
-        for_update: bool,
-    ) -> Result<Money, TxnError> {
-        let row = if for_update {
-            tx.read_for_update(table, &Value::int(cid))?
-        } else {
-            tx.read(table, &Value::int(cid))?
-        };
-        // Population guarantees a row per customer; a missing row would be
-        // an engine bug, but fail soft as zero like the SQL would (NULL sum).
-        Ok(row.map(|r| Money::cents(r.int(1))).unwrap_or(Money::ZERO))
+        program: impl FnOnce(&mut Transaction<'_>) -> Result<R, SbError>,
+    ) -> Result<R, SbError> {
+        let mut tx = self.db.begin();
+        let out = program(&mut tx)?;
+        tx.commit()?;
+        Ok(out)
     }
 
-    fn write_balance(
-        &self,
-        tx: &mut Transaction<'_>,
-        table: sicost_common::TableId,
-        cid: i64,
-        balance: Money,
-    ) -> Result<(), TxnError> {
-        tx.update(
-            table,
-            &Value::int(cid),
-            Row::new(vec![Value::int(cid), Value::int(balance.as_cents())]),
-        )
-    }
-
-    /// The identity update of promotion: `UPDATE t SET Balance = Balance
-    /// WHERE CustomerId = :cid`.
-    fn identity_update(
-        &self,
-        tx: &mut Transaction<'_>,
-        table: sicost_common::TableId,
-        cid: i64,
-    ) -> Result<(), TxnError> {
-        let current = self.read_balance(tx, table, cid, false)?;
-        self.write_balance(tx, table, cid, current)
-    }
-
-    /// The materialization statement: `UPDATE Conflict SET Value = Value+1
-    /// WHERE Id = :cid`.
-    fn bump_conflict(&self, tx: &mut Transaction<'_>, cid: i64) -> Result<(), TxnError> {
-        let key = Value::int(cid);
-        let row = tx.read(self.tables.conflict, &key)?;
-        let v = row.map(|r| r.int(1)).unwrap_or(0);
-        tx.update(
-            self.tables.conflict,
-            &key,
-            Row::new(vec![key.clone(), Value::int(v + 1)]),
-        )
-    }
-
-    // ----- the five programs ------------------------------------------------
-
-    /// `Balance(N)` — total of savings and checking (§III-B). Read-only in
-    /// the base coding; the BW/ALL strategies add writes here.
+    /// [`Programs::balance`] in its own transaction.
     pub fn balance(&self, name: &str) -> Result<Money, SbError> {
-        let mut tx = self.db.begin();
-        let Some(cid) = self.lookup_cid(&mut tx, name)? else {
-            tx.rollback();
-            return Err(SbError::AccountMissing);
-        };
-        let sav = self.read_balance(&mut tx, self.tables.saving, cid, false)?;
-        let chk = self.read_balance(
-            &mut tx,
-            self.tables.checking,
-            cid,
-            self.mods.bal_sfu_checking,
-        )?;
-        if self.mods.bal_ident_saving {
-            self.identity_update(&mut tx, self.tables.saving, cid)?;
-        }
-        if self.mods.bal_ident_checking {
-            self.identity_update(&mut tx, self.tables.checking, cid)?;
-        }
-        if self.mods.bal_conflict {
-            self.bump_conflict(&mut tx, cid)?;
-        }
-        tx.commit()?;
-        Ok(sav + chk)
+        self.run(|tx| self.programs.balance(tx, name))
     }
 
-    /// `DepositChecking(N, V)` (§III-B): rolls back on negative `V` or
-    /// unknown name.
+    /// [`Programs::deposit_checking`] in its own transaction.
     pub fn deposit_checking(&self, name: &str, v: Money) -> Result<(), SbError> {
-        if v.is_negative() {
-            return Err(SbError::InvalidAmount);
-        }
-        let mut tx = self.db.begin();
-        let Some(cid) = self.lookup_cid(&mut tx, name)? else {
-            tx.rollback();
-            return Err(SbError::AccountMissing);
-        };
-        let chk = self.read_balance(&mut tx, self.tables.checking, cid, false)?;
-        self.write_balance(&mut tx, self.tables.checking, cid, chk + v)?;
-        if self.mods.dc_conflict {
-            self.bump_conflict(&mut tx, cid)?;
-        }
-        tx.commit()?;
-        Ok(())
+        Programs::check_deposit(v)?;
+        self.run(|tx| self.programs.deposit_checking(tx, name, v))
     }
 
-    /// `TransactSaving(N, V)` (§III-B): deposit or withdrawal on savings;
-    /// rolls back if the result would be negative or the name is unknown.
+    /// [`Programs::transact_saving`] in its own transaction.
     pub fn transact_saving(&self, name: &str, v: Money) -> Result<(), SbError> {
-        let mut tx = self.db.begin();
-        let Some(cid) = self.lookup_cid(&mut tx, name)? else {
-            tx.rollback();
-            return Err(SbError::AccountMissing);
-        };
-        let sav = self.read_balance(&mut tx, self.tables.saving, cid, false)?;
-        let new = sav + v;
-        if new.is_negative() {
-            tx.rollback();
-            return Err(SbError::InsufficientFunds);
-        }
-        self.write_balance(&mut tx, self.tables.saving, cid, new)?;
-        if self.mods.ts_conflict {
-            self.bump_conflict(&mut tx, cid)?;
-        }
-        tx.commit()?;
-        Ok(())
+        self.run(|tx| self.programs.transact_saving(tx, name, v))
     }
 
-    /// `Amalgamate(N1, N2)` (§III-B): moves all funds of `n1` to `n2`'s
-    /// checking account.
+    /// [`Programs::amalgamate`] in its own transaction.
     pub fn amalgamate(&self, n1: &str, n2: &str) -> Result<(), SbError> {
-        let mut tx = self.db.begin();
-        let (Some(cid1), Some(cid2)) =
-            (self.lookup_cid(&mut tx, n1)?, self.lookup_cid(&mut tx, n2)?)
-        else {
-            tx.rollback();
-            return Err(SbError::AccountMissing);
-        };
-        let sav1 = self.read_balance(&mut tx, self.tables.saving, cid1, false)?;
-        let chk1 = self.read_balance(&mut tx, self.tables.checking, cid1, false)?;
-        let chk2 = self.read_balance(&mut tx, self.tables.checking, cid2, false)?;
-        self.write_balance(&mut tx, self.tables.saving, cid1, Money::ZERO)?;
-        self.write_balance(&mut tx, self.tables.checking, cid1, Money::ZERO)?;
-        self.write_balance(&mut tx, self.tables.checking, cid2, chk2 + sav1 + chk1)?;
-        if self.mods.amg_conflict {
-            self.bump_conflict(&mut tx, cid1)?;
-            self.bump_conflict(&mut tx, cid2)?;
-        }
-        tx.commit()?;
-        Ok(())
+        self.run(|tx| self.programs.amalgamate(tx, n1, n2))
+    }
+
+    /// [`Programs::write_check`] in its own transaction.
+    pub fn write_check(&self, name: &str, v: Money) -> Result<(), SbError> {
+        self.run(|tx| self.programs.write_check(tx, name, v))
     }
 
     /// `WriteCheck` run with §II-D's third approach: the *pivot*
@@ -293,53 +433,14 @@ impl SmallBank {
     /// [`sicost_engine::EngineConfig::table_intent_locks`] so that other
     /// writers conflict with the table lock.
     pub fn write_check_with_table_lock(&self, name: &str, v: Money) -> Result<(), SbError> {
-        let mut tx = self.db.begin();
-        tx.lock_table(self.tables.saving, true)?;
-        // PostgreSQL pattern: LOCK TABLE as the first statement means the
-        // snapshot is established only after the lock is granted — which
-        // is exactly what makes the pivot's reads 2PL-stable.
-        tx.refresh_snapshot()?;
-        self.write_check_body(&mut tx, name, v)?;
-        tx.commit()?;
-        Ok(())
-    }
-
-    /// `WriteCheck(N, V)` (§III-B / Program 1): charges `V` against
-    /// checking, with a $1 overdraft penalty when savings+checking can't
-    /// cover it.
-    pub fn write_check(&self, name: &str, v: Money) -> Result<(), SbError> {
-        let mut tx = self.db.begin();
-        self.write_check_body(&mut tx, name, v)?;
-        tx.commit()?;
-        Ok(())
-    }
-
-    fn write_check_body(
-        &self,
-        tx: &mut Transaction<'_>,
-        name: &str,
-        v: Money,
-    ) -> Result<(), SbError> {
-        let Some(cid) = self.lookup_cid(tx, name)? else {
-            // The caller's transaction handle rolls back on drop; surface
-            // the application error.
-            return Err(SbError::AccountMissing);
-        };
-        let sav = self.read_balance(tx, self.tables.saving, cid, self.mods.wc_sfu_saving)?;
-        let chk = self.read_balance(tx, self.tables.checking, cid, false)?;
-        let charge = if (sav + chk) < v {
-            v + Money::dollars(1)
-        } else {
-            v
-        };
-        self.write_balance(tx, self.tables.checking, cid, chk - charge)?;
-        if self.mods.wc_ident_saving {
-            self.write_balance(tx, self.tables.saving, cid, sav)?;
-        }
-        if self.mods.wc_conflict {
-            self.bump_conflict(tx, cid)?;
-        }
-        Ok(())
+        self.run(|tx| {
+            tx.lock_table(self.programs.tables.saving, true)?;
+            // PostgreSQL pattern: LOCK TABLE as the first statement means the
+            // snapshot is established only after the lock is granted — which
+            // is exactly what makes the pivot's reads 2PL-stable.
+            tx.refresh_snapshot()?;
+            self.programs.write_check(tx, name, v)
+        })
     }
 }
 

@@ -7,7 +7,7 @@
 //! ```
 
 use sicost::common::{CrashPoint, FaultConfig, FaultInjector, Ts, Xoshiro256};
-use sicost::driver::{retry_report, run, Outcome, RetryPolicy, RunConfig, Workload};
+use sicost::driver::{run, Outcome, Report, RetryPolicy, RetryReport, RunConfig, Workload};
 use sicost::engine::{Database, EngineConfig, TxnError};
 use sicost::storage::{Catalog, ColumnDef, ColumnType, Row, TableSchema, Value};
 use sicost::wal::recover;
@@ -104,7 +104,7 @@ fn main() {
             .with_seed(42)
             .with_retry(RetryPolicy::paper_default()),
     );
-    println!("{}", retry_report(&metrics));
+    println!("{}", RetryReport(&metrics).render());
     let stats = wl.db.faults().unwrap().stats();
     println!(
         "injected: {} forced aborts, {} sync errors, {} latency spikes\n",

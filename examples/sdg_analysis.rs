@@ -11,7 +11,7 @@
 //! ```
 
 use sicost::core::{
-    minimal_edge_cover, verify_safe, Access, AccessMode, EdgeCost, KeySpec, Program, Sdg,
+    check, minimal_edge_cover, verify_safe, Access, AccessMode, EdgeCost, KeySpec, Program, Sdg,
     SfuTreatment, StrategyPlan, Technique,
 };
 
@@ -106,10 +106,18 @@ fn main() {
         }
     }
 
-    // Or skip all of the above and let the advisor do the whole loop:
-    // analyse → choose edges → choose techniques → apply → re-verify.
-    println!("\n--- one-call advisor ---");
-    let advice = sicost::core::advise(&mix, SfuTreatment::AsLockOnly, EdgeCost::default());
-    print!("{}", advice.report());
-    assert!(advice.verified.is_si_serializable());
+    // Or skip all of the above and let the robustness checker do the
+    // whole loop: analyse → choose edges → choose techniques → apply →
+    // re-verify.
+    println!("\n--- one-call robustness check ---");
+    let report = check(
+        "on-call",
+        &mix,
+        SfuTreatment::AsLockOnly,
+        EdgeCost::default(),
+    );
+    print!("{}", report.render());
+    assert!(!report.robust());
+    let (_, fixed) = verify_safe(&sdg, &report.plan(), SfuTreatment::AsLockOnly).unwrap();
+    assert!(fixed.is_si_serializable());
 }

@@ -24,6 +24,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> examples: quickstart (scripted anomaly, end to end) + sdg_analysis (one-call robustness check)"
+cargo run --release --quiet --example quickstart
+cargo run --release --quiet --example sdg_analysis
+
 echo "==> cargo test -q (workspace)"
 cargo test --workspace -q
 
