@@ -3,16 +3,15 @@
 //!
 //! The paper's runs are short enough that dead snapshot versions never
 //! matter; a *sustained* open-system run is where SI platforms pay for
-//! them. Under SSI every read scans its key's version chain (to collect
-//! rw-antidependency writers), so an unvacuumed engine gets slower as
-//! chains grow — garbage collection is not just a memory question but a
-//! goodput one.
+//! them. Every commit prunes the chains it installs onto back to the
+//! oldest active snapshot, so chain length no longer depends on vacuum;
+//! the SSI manager's SIREAD marks of committed readers still do.
 //!
 //! This harness drives the same SSI SmallBank engine through consecutive
 //! open-loop windows, sampling the engine's live gauges after each:
 //!
-//! * **GC off** — max chain length and SIREAD count grow monotonically
-//!   with the commit count (asserted window over window);
+//! * **GC off** — the SIREAD count grows with the commit count, while the
+//!   max chain length stays bounded by install-time pruning alone;
 //! * **GC on** (commit-cadence [`VacuumPolicy`]) — both stay flat
 //!   (asserted bounded at the end), at equal or better goodput.
 //!
@@ -215,19 +214,20 @@ fn main() {
     // --- Assertions: the memory/latency model's observable claims.
     let (off_first, off_last) = (&off[0], &off[windows - 1]);
     let on_last = &on[windows - 1];
-    for pair in off.windows(2) {
-        assert!(
-            pair[1].max_chain_len >= pair[0].max_chain_len,
-            "GC-off chains never shrink (no prune runs): {} then {}",
-            pair[0].max_chain_len,
-            pair[1].max_chain_len
-        );
+    for (label, samples) in [("off", &off), ("on", &on)] {
+        for s in samples.iter() {
+            assert!(
+                s.max_chain_len <= 64,
+                "GC-{label} window {}: install-time pruning must keep the max chain \
+                 bounded, got {}",
+                s.window,
+                s.max_chain_len
+            );
+        }
     }
     assert!(
-        off_last.max_chain_len > off_first.max_chain_len,
-        "GC-off max chain must grow across the run: {} -> {}",
-        off_first.max_chain_len,
-        off_last.max_chain_len
+        off_last.versions_pruned > 0,
+        "installs prune even with the cadence off"
     );
     assert!(
         off_last.siread_entries > off_first.siread_entries,
@@ -237,18 +237,6 @@ fn main() {
     );
     assert_eq!(off_last.vacuum_runs, 0, "GC-off must never vacuum");
     assert!(on_last.vacuum_runs > 0, "GC-on cadence must have fired");
-    assert!(on_last.versions_pruned > 0, "GC-on must reclaim versions");
-    assert!(
-        on_last.max_chain_len <= 64,
-        "GC-on max chain must stay bounded by the vacuum cadence, got {}",
-        on_last.max_chain_len
-    );
-    assert!(
-        on_last.max_chain_len < off_last.max_chain_len,
-        "GC-on final chain {} must beat GC-off {}",
-        on_last.max_chain_len,
-        off_last.max_chain_len
-    );
     assert!(
         on_last.siread_entries < off_last.siread_entries,
         "GC-on final SIREAD count {} must beat GC-off {}",
@@ -369,11 +357,11 @@ fn main() {
         vec!["workers".into(), "host cores".into(), "goodput tps".into()],
         scaling_rows,
     );
-    let expectation = "With GC off, the max version-chain length and the SSI \
-         manager's SIREAD footprint grow monotonically with the commit \
-         count, and under SSI the chain scans make reads progressively \
-         slower. With the commit-cadence vacuum on, both gauges stay flat \
-         (bounded by the cadence) at equal or better goodput. The worker \
+    let expectation = "With GC off, the SSI manager's SIREAD footprint grows \
+         with the commit count, while the max version-chain length stays \
+         bounded: every commit prunes the chains it installs onto back to \
+         the oldest active snapshot. With the commit-cadence vacuum on, \
+         both gauges stay flat at equal or better goodput. The worker \
          sweep is informational: lock-free reads scale with cores, which \
          on a single-core host means roughly flat.";
     println!("Expectation: {expectation}");

@@ -26,7 +26,7 @@
 
 use crate::database::Database;
 use crate::error::TxnError;
-use sicost_common::Ts;
+use sicost_common::{Ts, TxnId};
 use sicost_wal::{CheckpointImage, Manifest, PagedCheckpoint, WalError};
 use std::sync::atomic::Ordering;
 
@@ -83,6 +83,12 @@ impl<'db> Checkpointer<'db> {
         // superset of everyone who appended below `O` but has not yet
         // published. New committers that register after this snapshot
         // append at or above `O` and need not be waited for.
+        //
+        // `C` is then registered as an active snapshot before the gate is
+        // released. The clock cannot move while the gate is held, so the
+        // registry hands back exactly `C`; from here until the capture
+        // below is done, neither vacuum nor an install's pruning can drop
+        // a version the capture must read.
         let checkpoint_ts = {
             let mut gate = db.publish.lock.lock();
             let targets: Vec<_> = db.inflight_wal.lock().iter().copied().collect();
@@ -99,46 +105,11 @@ impl<'db> Checkpointer<'db> {
                 drop(inflight);
                 db.publish.cv.wait(&mut gate);
             }
-            Ts(db.clock.load(Ordering::Acquire))
+            db.registry.register(CHECKPOINT_READER, &db.clock)
         };
-
-        // Step 3: capture the state at `C`. Writers keep installing
-        // versions above `C` while we work; MVCC visibility at `C`
-        // ignores them, and every version `≤ C` is fully installed
-        // (publication follows installation in the commit pipeline).
-        //
-        // Resident backend: serialize a full MVCC snapshot of every table
-        // into the frame. Paged backend: write back every dirty pooled
-        // page instead — every version `≤ C` is then durable in the heap
-        // (installed before `C` was read, hence flushed here), so the
-        // frame itself only needs to record `C`. Heap pages flushed after
-        // `C` was read may carry younger versions too; recovery reads the
-        // heap at `C` and the replayed suffix re-applies them.
-        let (frame, rows, pages_flushed) = if db.catalog.is_paged() {
-            let flushed = db
-                .catalog
-                .flush_dirty_pages()
-                .map_err(|e| TxnError::Transient(format!("checkpoint page flush failed: {e}")))?;
-            let frame = PagedCheckpoint {
-                ts: checkpoint_ts,
-                pages_flushed: flushed.pages,
-                flushed_bytes: flushed.bytes,
-            }
-            .encode();
-            (frame, 0, flushed.pages)
-        } else {
-            let mut tables = Vec::with_capacity(db.catalog.len());
-            for table in db.catalog.tables() {
-                tables.push((table.id(), table.snapshot_at(checkpoint_ts)));
-            }
-            let rows = tables.iter().map(|(_, r)| r.len()).sum();
-            let frame = CheckpointImage {
-                ts: checkpoint_ts,
-                tables,
-            }
-            .encode();
-            (frame, rows, 0)
-        };
+        let captured = self.capture(checkpoint_ts);
+        db.registry.unregister(CHECKPOINT_READER, checkpoint_ts);
+        let (frame, rows, pages_flushed) = captured?;
         let image_bytes = frame.len() as u64;
 
         // Steps 4–6: slot write, manifest swap, truncation — each a
@@ -166,7 +137,57 @@ impl<'db> Checkpointer<'db> {
             image_bytes,
         })
     }
+
+    /// Step 3 of [`Checkpointer::run`]: the frame that records the state
+    /// at `checkpoint_ts`, with its row and flushed-page counts. The
+    /// caller keeps `checkpoint_ts` registered as an active snapshot
+    /// throughout.
+    fn capture(&self, checkpoint_ts: Ts) -> Result<(Vec<u8>, usize, u64), TxnError> {
+        let db = self.db;
+
+        // Step 3: capture the state at `C`. Writers keep installing
+        // versions above `C` while we work; MVCC visibility at `C`
+        // ignores them, and every version `≤ C` is fully installed
+        // (publication follows installation in the commit pipeline).
+        //
+        // Resident backend: serialize a full MVCC snapshot of every table
+        // into the frame. Paged backend: write back every dirty pooled
+        // page instead — every version `≤ C` is then durable in the heap
+        // (installed before `C` was read, hence flushed here), so the
+        // frame itself only needs to record `C`. Heap pages flushed after
+        // `C` was read may carry younger versions too; recovery reads the
+        // heap at `C` and the replayed suffix re-applies them.
+        if db.catalog.is_paged() {
+            let flushed = db
+                .catalog
+                .flush_dirty_pages()
+                .map_err(|e| TxnError::Transient(format!("checkpoint page flush failed: {e}")))?;
+            let frame = PagedCheckpoint {
+                ts: checkpoint_ts,
+                pages_flushed: flushed.pages,
+                flushed_bytes: flushed.bytes,
+            }
+            .encode();
+            Ok((frame, 0, flushed.pages))
+        } else {
+            let mut tables = Vec::with_capacity(db.catalog.len());
+            for table in db.catalog.tables() {
+                tables.push((table.id(), table.snapshot_at(checkpoint_ts)));
+            }
+            let rows = tables.iter().map(|(_, r)| r.len()).sum();
+            let frame = CheckpointImage {
+                ts: checkpoint_ts,
+                tables,
+            }
+            .encode();
+            Ok((frame, rows, 0))
+        }
+    }
 }
+
+/// The registry entry a running checkpoint holds for its snapshot. The
+/// registry counts snapshots, not owners, so the id is only a label.
+const CHECKPOINT_READER: TxnId = TxnId(u64::MAX);
 
 fn wal_err(e: WalError) -> TxnError {
     TxnError::Transient(format!("checkpoint wal error: {e}"))

@@ -208,7 +208,8 @@ pub struct EngineConfig {
     pub cost: CostModel,
     /// When the engine vacuums (version GC + SSI record GC) on its own.
     /// See [`VacuumPolicy`]; disabled means only explicit
-    /// [`crate::Database::vacuum`] calls collect garbage.
+    /// [`crate::Database::vacuum`] calls run passes. Either way, each
+    /// commit prunes the chains it installs onto.
     pub vacuum: VacuumPolicy,
     /// When `true`, SI/SSI writers also take an intention-exclusive lock
     /// on the table before their row locks. Pure overhead for plain SI,

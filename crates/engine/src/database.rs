@@ -387,7 +387,7 @@ impl Database {
         for row in rows {
             let key = row.get(pk).clone();
             let _shard = self.install_shard(table, &key);
-            if let Err(e) = t.install(&key, Version::data(ts, loader, row)) {
+            if let Err(e) = t.install(&key, Version::data(ts, loader, row), Ts::ZERO) {
                 result = Err(crate::TxnError::Constraint(e.to_string()));
                 break;
             }
@@ -756,8 +756,9 @@ mod tests {
         let tid = db.table_id("T").unwrap();
         db.bulk_load(tid, [Row::new(vec![Value::int(1), Value::int(0)])])
             .unwrap();
-        // Five committed updates: five SSI commit records and four dead
-        // versions (the fifth is the live tip).
+        // Five committed updates: five SSI commit records and five
+        // superseded versions. Each install from the second on drops the
+        // version below its anchor, so one superseded version is left.
         for i in 1..=5 {
             let mut tx = db.begin();
             tx.update(
@@ -769,21 +770,28 @@ mod tests {
             tx.commit().unwrap();
         }
         assert_eq!(db.ssi.tracked(), 5, "all five commit records retained");
+        let installs = db.metrics().versions_pruned;
+        assert_eq!(installs, 4, "installs 2-5 each pruned one version");
         let reclaimed = db.vacuum();
         let m = db.metrics();
         assert_eq!(m.ssi_txns_reclaimed, 5, "SSI records counted in metrics");
         assert_eq!(
+            m.versions_pruned - installs,
+            1,
+            "the pass prunes the one superseded version left"
+        );
+        assert_eq!(
             reclaimed,
-            m.versions_pruned + m.ssi_txns_reclaimed,
+            m.versions_pruned - installs + m.ssi_txns_reclaimed,
             "vacuum's return covers both version and SSI reclaim"
         );
-        assert!(m.versions_pruned >= 4, "dead versions pruned too");
         assert_eq!(db.ssi.tracked(), 0);
     }
 
     /// Threshold-driven auto-vacuum mirrors the checkpoint trigger: every
     /// Nth commit runs a pass inline, pruning dead versions and stamping
-    /// the run/pause metrics.
+    /// the run/pause metrics. `versions_pruned` counts install-time and
+    /// vacuum prunes alike.
     #[test]
     fn auto_vacuum_fires_on_commit_threshold() {
         let db = Database::builder()
@@ -802,9 +810,13 @@ mod tests {
         }
         let m = db.metrics();
         assert_eq!(m.vacuum_runs, 2, "commits 3 and 6 trigger passes");
-        assert!(m.versions_pruned >= 4, "dead versions reclaimed: {m:?}");
+        // Seven updates supersede seven versions. The passes after
+        // commits 3 and 6 prune one each, and so does every install
+        // except the first and the two right after a pass (their anchor
+        // is the chain's only version). One superseded version is left.
+        assert_eq!(m.versions_pruned, 6, "dead versions reclaimed: {m:?}");
         assert!(
-            m.max_chain_len <= 3,
+            m.max_chain_len <= 2,
             "chain stays bounded under auto-vacuum: {}",
             m.max_chain_len
         );

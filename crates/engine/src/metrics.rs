@@ -180,7 +180,8 @@ pub struct EngineMetrics {
     pub aborts_application: u64,
     /// Transient-fault aborts (injected faults, failed WAL syncs, crashes).
     pub aborts_transient: u64,
-    /// Versions reclaimed by the garbage collector.
+    /// Versions reclaimed: those commits left out of the chains they
+    /// installed onto, plus those vacuum passes pruned.
     pub versions_pruned: u64,
     /// SSI transaction records retired by vacuum (SSI mode only): commit
     /// metadata whose rw-antidependency edges can no longer form a pivot

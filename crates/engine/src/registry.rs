@@ -1,8 +1,9 @@
 //! Active-transaction registry.
 //!
-//! Tracks which snapshots are in use, for three consumers: the version
-//! garbage collector (safe pruning horizon), the commercial profile's load
-//! penalty (active-transaction count), and SSI (concurrency checks).
+//! Tracks which snapshots are in use, for three consumers: version
+//! pruning (the safe horizon, read by vacuum and by every writing commit
+//! before it installs), the commercial profile's load penalty
+//! (active-transaction count), and SSI (concurrency checks).
 
 use sicost_common::sync::Mutex;
 use sicost_common::{Ts, TxnId};
@@ -24,11 +25,11 @@ impl ActiveRegistry {
     }
 
     /// Registers a transaction at begin and returns its snapshot: the
-    /// commit `clock`, read under the registry lock. A vacuum takes its
-    /// horizon under the same lock, so a snapshot is either registered
-    /// before the horizon is computed (and bounds it) or taken after it
-    /// (and is at least the horizon) — never lost in between, with the
-    /// versions it needs pruned.
+    /// commit `clock`, read under the registry lock. Vacuum and committers
+    /// take their pruning horizon under the same lock, so a snapshot is
+    /// either registered before the horizon is computed (and bounds it)
+    /// or taken after it (and is at least the horizon) — never lost in
+    /// between, with the versions it needs pruned.
     pub fn register(&self, _txn: TxnId, clock: &AtomicU64) -> Ts {
         let mut map = self.snapshots.lock();
         let snapshot = clock.load(Ordering::Acquire);

@@ -51,7 +51,7 @@ use crate::metrics::LockClasses;
 use sicost_common::sync::{stripe_of, InstrumentedMutex};
 use sicost_common::{LockStats, TableId, Ts, TxnId};
 use sicost_storage::Value;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Key granularity at which SIREAD marks are kept.
@@ -389,6 +389,10 @@ impl SsiManager {
     /// Garbage-collects committed transactions no longer concurrent with
     /// anything active (commit timestamp at or before the oldest active
     /// snapshot). Returns the number of transaction records reclaimed.
+    ///
+    /// Each key any dead reader marked is visited once, and one `retain`
+    /// drops every dead reader of it: the pass costs one walk of each
+    /// touched key's marks, not one per (reader, key) pair.
     pub fn gc(&self, min_active_start: Ts) -> usize {
         let dead: Vec<(TxnId, SsiTxn)> = {
             let mut txns = self.txns.lock();
@@ -401,9 +405,32 @@ impl SsiManager {
                 .filter_map(|id| txns.remove(&id).map(|t| (id, t)))
                 .collect()
         };
-        for (id, t) in &dead {
-            self.unregister_reads(*id, &t.read_keys);
-            self.unannounce(*id, &t.announced_keys);
+        let ids: HashSet<TxnId> = dead.iter().map(|(id, _)| *id).collect();
+        // Group the touched keys by partition so each shard lock is taken
+        // once per pass, in partition order (a pure function of the data,
+        // as deterministic simulation needs).
+        let mut by_shard: BTreeMap<usize, HashSet<&ReadKey>> = BTreeMap::new();
+        for (_, t) in &dead {
+            for key in t.read_keys.iter().chain(&t.announced_keys) {
+                by_shard
+                    .entry(stripe_of(key, self.shards.len()))
+                    .or_default()
+                    .insert(key);
+            }
+        }
+        for (shard, keys) in by_shard {
+            let mut guard = self.shards[shard].lock();
+            let ReadShard { readers, announced } = &mut *guard;
+            for key in keys {
+                for map in [&mut *readers, &mut *announced] {
+                    if let Some(txns) = map.get_mut(key) {
+                        txns.retain(|t| !ids.contains(t));
+                        if txns.is_empty() {
+                            map.remove(key);
+                        }
+                    }
+                }
+            }
         }
         dead.len()
     }

@@ -174,17 +174,17 @@ impl<'db> Transaction<'db> {
         }
     }
 
-    /// Writers of committed versions newer than our snapshot (SSI edges).
+    /// Writers of committed versions newer than our snapshot (SSI edges),
+    /// oldest first. The walk starts at the tail and stops at the
+    /// snapshot, so it never visits the versions we can see.
     fn newer_writers(&self, table: &dyn TableStore, key: &Value) -> Vec<TxnId> {
-        table
+        let mut writers: Vec<TxnId> = table
             .with_chain(key, |chain| {
-                chain
-                    .iter()
-                    .filter(|v| v.ts > self.snapshot)
-                    .map(|v| v.writer)
-                    .collect()
+                chain.newer_than(self.snapshot).map(|v| v.writer).collect()
             })
-            .unwrap_or_default()
+            .unwrap_or_default();
+        writers.reverse();
+        writers
     }
 
     /// Reads `key`'s visible version at the transaction's read timestamp
@@ -621,6 +621,13 @@ impl<'db> Transaction<'db> {
                     return Err(self.fail(TxnError::Transient("crashed after wal append".into())));
                 }
             }
+            // Install-time pruning: each new chain is built from the
+            // anchor at the oldest active snapshot. Our own snapshot is
+            // still registered, and any later begin reads a clock at
+            // least this horizon, so no snapshot that can reach a dropped
+            // version exists now or later.
+            let horizon = self.db.registry.min_active_snapshot(&self.db.clock);
+            let mut pruned = 0;
             // Striped install: reserve a timestamp under the tiny sequence
             // lock, install each version under its shard's install lock,
             // then publish the clock in reservation order. Snapshots stay
@@ -648,8 +655,12 @@ impl<'db> Transaction<'db> {
                 };
                 // All constraints were validated (and sentinel-locked)
                 // before the WAL write; failure here is an engine bug.
-                t.install(&w.key, version)
+                pruned += t
+                    .install(&w.key, version, horizon)
                     .expect("post-WAL install must not fail (validated earlier)");
+            }
+            if pruned > 0 {
+                self.db.metrics.record_pruned(pruned as u64);
             }
             if crash_mid_install {
                 self.db.inflight_remove(self.id);

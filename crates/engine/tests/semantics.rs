@@ -588,6 +588,7 @@ fn recovery_replay_reconstructs_committed_state() {
         ft.install(
             &Value::int(i),
             sicost_storage::Version::data(Ts(1), sicost_common::TxnId(u64::MAX), row(i, 100)),
+            Ts::ZERO,
         )
         .unwrap();
     }

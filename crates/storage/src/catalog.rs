@@ -235,12 +235,14 @@ mod tests {
             .install(
                 &Value::int(1),
                 Version::data(Ts(1), TxnId(1), Row::new(vec![Value::int(1)])),
+                Ts::ZERO,
             )
             .unwrap();
         c.table(b)
             .install(
                 &Value::int(2),
                 Version::data(Ts(2), TxnId(2), Row::new(vec![Value::int(2)])),
+                Ts::ZERO,
             )
             .unwrap();
 

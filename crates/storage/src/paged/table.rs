@@ -4,9 +4,9 @@
 //! A key's page is `fnv1a(key bytes) % pages_per_table` — a fixed-fan-out
 //! hash directory, so the page map never grows or splits and the same key
 //! always touches the same page in every run. Semantics mirror
-//! [`crate::Table`] exactly (same install validation, unique-constraint
-//! protocol, visibility rules and prune behaviour); the differences are
-//! purely operational:
+//! [`crate::Table`] (same install validation, unique-constraint protocol,
+//! visibility rules and vacuum behaviour); the differences are
+//! operational:
 //!
 //! * Every record access pins a page, so reads can miss and pay device
 //!   latency — the axis the paged experiments sweep.
@@ -15,6 +15,8 @@
 //!   removes the retired-cell dance vacuum needed in the resident store.
 //! * Unique secondary indexes stay resident (they are derived data:
 //!   recovery rebuilds them by replaying installs).
+//! * An install appends in place and ignores the pruning horizon, so
+//!   chains shrink only when vacuum runs.
 
 use super::codec;
 use super::heap::PageAddr;
@@ -127,7 +129,9 @@ impl crate::TableStore for PagedTable {
         }
     }
 
-    fn install(&self, key: &Value, version: Version) -> Result<(), InstallError> {
+    /// Ignores `horizon`: this backend prunes at vacuum only (DESIGN.md
+    /// §11 says why), so it always reports 0 versions dropped.
+    fn install(&self, key: &Value, version: Version, _horizon: Ts) -> Result<usize, InstallError> {
         // Identical validation to the resident store.
         if let Some(row) = version.row() {
             self.schema
@@ -187,7 +191,7 @@ impl crate::TableStore for PagedTable {
         let chain = cells.entry(key.clone()).or_default();
         chain.install(version);
         self.max_len.fetch_max(chain.len(), Ordering::Relaxed);
-        Ok(())
+        Ok(0)
     }
 
     fn lookup_unique(&self, unique_slot: usize, value: &Value, snap: Ts) -> Option<Value> {
@@ -253,7 +257,7 @@ impl crate::TableStore for PagedTable {
                 let mut garbage = false;
                 for c in cells.values() {
                     pm = pm.max(c.len());
-                    garbage |= c.len() > 1 || c.is_dead(horizon);
+                    garbage |= c.has_garbage(horizon);
                 }
                 (pm, garbage)
             };
@@ -337,16 +341,19 @@ mod tests {
         t.install(
             &Value::int(1),
             Version::data(Ts(1), TxnId(1), row(1, "a", 10)),
+            Ts::ZERO,
         )
         .unwrap();
         t.install(
             &Value::int(2),
             Version::data(Ts(2), TxnId(2), row(2, "b", 20)),
+            Ts::ZERO,
         )
         .unwrap();
         t.install(
             &Value::int(1),
             Version::data(Ts(4), TxnId(3), row(1, "a", 15)),
+            Ts::ZERO,
         )
         .unwrap();
 
@@ -384,6 +391,7 @@ mod tests {
         t.install(
             &Value::int(1),
             Version::data(Ts(1), TxnId(1), row(1, "a", 10)),
+            Ts::ZERO,
         )
         .unwrap();
         // Another key claiming the same unique name is rejected.
@@ -391,6 +399,7 @@ mod tests {
             .install(
                 &Value::int(2),
                 Version::data(Ts(2), TxnId(2), row(2, "a", 0)),
+                Ts::ZERO,
             )
             .unwrap_err();
         assert!(matches!(err, InstallError::Unique(_)));
@@ -398,6 +407,7 @@ mod tests {
         t.install(
             &Value::int(1),
             Version::data(Ts(3), TxnId(3), row(1, "a", 11)),
+            Ts::ZERO,
         )
         .unwrap();
 
@@ -406,8 +416,12 @@ mod tests {
             Some(Value::int(1))
         );
         // Delete frees the value; an old snapshot still finds it by scan.
-        t.install(&Value::int(1), Version::tombstone(Ts(5), TxnId(4)))
-            .unwrap();
+        t.install(
+            &Value::int(1),
+            Version::tombstone(Ts(5), TxnId(4)),
+            Ts::ZERO,
+        )
+        .unwrap();
         assert_eq!(t.lookup_unique(0, &Value::from("a"), Ts(6)), None);
         assert_eq!(
             t.lookup_unique(0, &Value::from("a"), Ts(4)),
@@ -417,6 +431,7 @@ mod tests {
         t.install(
             &Value::int(2),
             Version::data(Ts(7), TxnId(5), row(2, "a", 5)),
+            Ts::ZERO,
         )
         .unwrap();
         assert_eq!(
@@ -432,6 +447,7 @@ mod tests {
             .install(
                 &Value::int(1),
                 Version::data(Ts(1), TxnId(1), row(2, "x", 0)),
+                Ts::ZERO,
             )
             .unwrap_err();
         assert!(matches!(err, InstallError::Schema(_)));
@@ -443,20 +459,27 @@ mod tests {
         t.install(
             &Value::int(1),
             Version::data(Ts(1), TxnId(1), row(1, "a", 10)),
+            Ts::ZERO,
         )
         .unwrap();
         t.install(
             &Value::int(1),
             Version::data(Ts(2), TxnId(2), row(1, "a", 11)),
+            Ts::ZERO,
         )
         .unwrap();
         t.install(
             &Value::int(2),
             Version::data(Ts(3), TxnId(3), row(2, "b", 20)),
+            Ts::ZERO,
         )
         .unwrap();
-        t.install(&Value::int(2), Version::tombstone(Ts(4), TxnId(4)))
-            .unwrap();
+        t.install(
+            &Value::int(2),
+            Version::tombstone(Ts(4), TxnId(4)),
+            Ts::ZERO,
+        )
+        .unwrap();
 
         // Horizon above everything: key 1 keeps one anchor, key 2 dies.
         assert_eq!(t.max_chain_len(), 2);
@@ -465,6 +488,47 @@ mod tests {
         assert_eq!(t.version_count(), 1);
         assert!(t.with_chain(&Value::int(2), |_| ()).is_none());
         assert_eq!(t.max_chain_len(), 1, "prune refreshes the gauge");
+    }
+
+    /// Chains whose versions all lie at or above their anchor hold no
+    /// garbage: a prune must leave their page clean, so the next
+    /// checkpoint does not write it back.
+    #[test]
+    fn prune_leaves_a_page_without_garbage_clean() {
+        let heap = Arc::new(HeapStore::new(Duration::ZERO, Duration::ZERO, None));
+        let pool = Arc::new(BufferPool::new(2, heap));
+        let t = PagedTable::new(TableId(0), schema(), 1, Arc::clone(&pool));
+        // Key 1: every version above the horizon. Key 2: its oldest
+        // version is the anchor, with nothing below it.
+        for ts in 5..=7 {
+            t.install(
+                &Value::int(1),
+                Version::data(Ts(ts), TxnId(ts), row(1, "a", ts as i64)),
+                Ts::ZERO,
+            )
+            .unwrap();
+        }
+        for ts in [2, 4] {
+            t.install(
+                &Value::int(2),
+                Version::data(Ts(ts), TxnId(ts), row(2, "b", ts as i64)),
+                Ts::ZERO,
+            )
+            .unwrap();
+        }
+        assert_eq!(pool.flush_dirty().unwrap().pages, 1);
+        let before = pool.stats();
+
+        assert_eq!(t.prune(Ts(3)), 0);
+        assert_eq!(t.version_count(), 5);
+        assert_eq!(t.max_chain_len(), 3, "the peek still feeds the gauge");
+        assert_eq!(pool.flush_dirty().unwrap().pages, 0, "no page dirtied");
+        assert_eq!(pool.stats().dirty_writebacks, before.dirty_writebacks);
+
+        // Once the horizon reaches key 2's second version there is
+        // garbage, and only then is the page rewritten.
+        assert_eq!(t.prune(Ts(4)), 1);
+        assert_eq!(pool.flush_dirty().unwrap().pages, 1);
     }
 
     #[test]
@@ -480,6 +544,7 @@ mod tests {
                     TxnId(id as u64),
                     row(id, &format!("n{id}"), id),
                 ),
+                Ts::ZERO,
             )
             .unwrap();
         }

@@ -161,7 +161,12 @@ pub trait TableStore: Send + Sync {
     /// Installs a committed version for `key`, enforcing schema validity
     /// and unique constraints. Must be called from within the engine's
     /// commit critical section so installs follow commit order.
-    fn install(&self, key: &Value, version: Version) -> Result<(), InstallError>;
+    ///
+    /// `horizon` is the oldest snapshot still in use. A backend may drop
+    /// the versions of `key` that lie below the anchor at `horizon` (the
+    /// newest version with `ts <= horizon`) while it installs; `Ts::ZERO`
+    /// keeps them all. Returns the number of versions dropped.
+    fn install(&self, key: &Value, version: Version, horizon: Ts) -> Result<usize, InstallError>;
 
     /// Looks up a primary key through unique secondary index `unique_slot`,
     /// verified against `snap`.
@@ -270,8 +275,8 @@ impl TableStore for crate::table::Table {
         crate::table::Table::with_chain(self, key, |c| f(c)).is_some()
     }
 
-    fn install(&self, key: &Value, version: Version) -> Result<(), InstallError> {
-        crate::table::Table::install(self, key, version)
+    fn install(&self, key: &Value, version: Version, horizon: Ts) -> Result<usize, InstallError> {
+        crate::table::Table::install(self, key, version, horizon)
     }
 
     fn lookup_unique(&self, unique_slot: usize, value: &Value, snap: Ts) -> Option<Value> {
@@ -329,6 +334,7 @@ mod tests {
                 TxnId(1),
                 Row::new(vec![Value::int(1), Value::int(10)]),
             ),
+            Ts::ZERO,
         )
         .unwrap();
         t.install(
@@ -338,6 +344,7 @@ mod tests {
                 TxnId(2),
                 Row::new(vec![Value::int(1), Value::int(30)]),
             ),
+            Ts::ZERO,
         )
         .unwrap();
 

@@ -13,11 +13,12 @@
 //! writers and **perform no allocation** (asserted by
 //! `tests/lockfree_reads.rs`).
 //!
-//! Write-side costs: an install clones the record's chain (O(chain
-//! length) — bounded by vacuum) and a record create/drop clones one
-//! shard's map (O(records per shard)). Unique secondary indexes remain
-//! `RwLock`-guarded: they are only consulted on write paths (installs and
-//! index lookups), not on the primary-key read path.
+//! Write-side costs: an install copies the record's chain from the anchor
+//! at the oldest active snapshot (O(versions some snapshot can still
+//! read)), leaving older versions behind, and a record create/drop
+//! clones one shard's map (O(records per shard)). Unique secondary
+//! indexes remain `RwLock`-guarded: they are only consulted on write
+//! paths (installs and index lookups), not on the primary-key read path.
 //!
 //! Lock ordering within a table: `Shard::write` before `VersionCell::write`
 //! (only [`Table::prune`] holds both); installers take `Shard::write`
@@ -288,7 +289,17 @@ impl Table {
     /// Installs a committed version for `key`, enforcing unique constraints
     /// and schema validity. Must be called from within the engine's commit
     /// critical section so that installs follow commit order.
-    pub fn install(&self, key: &Value, version: Version) -> Result<(), InstallError> {
+    ///
+    /// The replacement chain is built from the anchor at `horizon` (the
+    /// oldest snapshot still in use): versions below it are left out of
+    /// the copy instead of waiting for vacuum. Returns how many were left
+    /// out; `Ts::ZERO` keeps the whole chain.
+    pub fn install(
+        &self,
+        key: &Value,
+        version: Version,
+        horizon: Ts,
+    ) -> Result<usize, InstallError> {
         // Validate the image against the schema and check PK consistency.
         if let Some(row) = version.row() {
             self.schema
@@ -351,10 +362,9 @@ impl Table {
                     }
                 }
             }
-            let mut next = chain.clone();
-            next.install(version);
+            let (next, pruned) = chain.installed(version, horizon);
             cell.replace(next);
-            return Ok(());
+            return Ok(pruned);
         }
     }
 
@@ -436,45 +446,57 @@ impl Table {
     /// `horizon`; drops records reduced to a dead tombstone. Returns the
     /// number of versions reclaimed.
     ///
-    /// Holds `Shard::write` for the duration of each shard pass (blocking
-    /// record creates in that shard — this is the measured GC pause) and
-    /// each record's `VersionCell::write` briefly; readers are never
-    /// blocked, and any reader pinned before a replacement keeps its
-    /// snapshot alive through the epoch collector.
+    /// Each shard is first peeked lock-free for records with garbage
+    /// ([`VersionChain::has_garbage`]); a shard without any is not locked
+    /// at all. Otherwise the pass holds `Shard::write` while it rewrites
+    /// that shard's garbage records (blocking record creates in the shard
+    /// — the measured GC pause) and each such record's
+    /// `VersionCell::write` briefly. Readers are never blocked, and any
+    /// reader pinned before a replacement keeps its snapshot alive
+    /// through the epoch collector.
     pub fn prune(&self, horizon: Ts) -> usize {
         let mut reclaimed = 0;
         for shard in &self.shards {
-            let _sw = shard.write.lock();
             let g = epoch::pin();
-            let map = shard.load(&g);
-            let mut dead: Vec<Value> = Vec::new();
             // Sorted key order, not map order: the per-cell lock sequence
             // below must be a pure function of the data, never of a
             // hasher's iteration order, or deterministic-simulation
             // replays of a vacuum racing concurrent writers would
             // diverge between runs.
-            let mut entries: Vec<(&Value, &Arc<VersionCell>)> = map.iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            for (pk, cell) in entries {
+            let mut garbage: Vec<(&Value, &Arc<VersionCell>)> = shard
+                .load(&g)
+                .iter()
+                .filter(|(_, cell)| cell.load(&g).has_garbage(horizon))
+                .collect();
+            if garbage.is_empty() {
+                continue;
+            }
+            garbage.sort_by(|a, b| a.0.cmp(b.0));
+            let _sw = shard.write.lock();
+            let mut dead: Vec<&Value> = Vec::new();
+            for (pk, cell) in garbage {
                 let _cw = cell.write.lock();
-                let chain = cell.load(&g);
-                let mut next = chain.clone();
-                let n = next.prune(horizon);
+                if cell.retired.load(Ordering::SeqCst) {
+                    continue; // a racing pass already dropped the record
+                }
+                let (next, n) = cell.load(&g).pruned(horizon);
                 if next.is_dead(horizon) {
                     // Mark first, unlink after: an installer that raced us
                     // to this cell sees `retired` under the cell lock and
                     // re-looks-up instead of resurrecting a dropped record.
                     reclaimed += n + next.len();
                     cell.retired.store(true, Ordering::SeqCst);
-                    dead.push(pk.clone());
+                    dead.push(pk);
                 } else if n > 0 {
                     reclaimed += n;
                     cell.replace(next);
                 }
             }
             if !dead.is_empty() {
-                let mut next_map = map.clone();
-                for pk in &dead {
+                // Reload under the shard lock: records created since the
+                // peek must survive the unlink.
+                let mut next_map = shard.load(&g).clone();
+                for pk in dead {
                     next_map.remove(pk);
                 }
                 shard.replace(next_map);
@@ -559,6 +581,7 @@ mod tests {
         t.install(
             &Value::str("alice"),
             Version::data(Ts(1), TxnId(1), acct_row("alice", 7)),
+            Ts::ZERO,
         )
         .unwrap();
         let vis = t.read_at(&Value::str("alice"), Ts(1)).unwrap();
@@ -575,6 +598,7 @@ mod tests {
             .install(
                 &Value::str("alice"),
                 Version::data(Ts(1), TxnId(1), acct_row("bob", 7)),
+                Ts::ZERO,
             )
             .unwrap_err();
         assert!(matches!(err, InstallError::Schema(_)));
@@ -586,12 +610,14 @@ mod tests {
         t.install(
             &Value::str("alice"),
             Version::data(Ts(1), TxnId(1), acct_row("alice", 7)),
+            Ts::ZERO,
         )
         .unwrap();
         let err = t
             .install(
                 &Value::str("bob"),
                 Version::data(Ts(2), TxnId(2), acct_row("bob", 7)),
+                Ts::ZERO,
             )
             .unwrap_err();
         assert!(matches!(err, InstallError::Unique(_)));
@@ -599,6 +625,7 @@ mod tests {
         t.install(
             &Value::str("bob"),
             Version::data(Ts(3), TxnId(2), acct_row("bob", 8)),
+            Ts::ZERO,
         )
         .unwrap();
     }
@@ -609,25 +636,33 @@ mod tests {
         t.install(
             &Value::str("alice"),
             Version::data(Ts(1), TxnId(1), acct_row("alice", 7)),
+            Ts::ZERO,
         )
         .unwrap();
         // Alice changes id 7 -> 9; id 7 becomes available.
         t.install(
             &Value::str("alice"),
             Version::data(Ts(2), TxnId(2), acct_row("alice", 9)),
+            Ts::ZERO,
         )
         .unwrap();
         t.install(
             &Value::str("bob"),
             Version::data(Ts(3), TxnId(3), acct_row("bob", 7)),
+            Ts::ZERO,
         )
         .unwrap();
         // Deleting bob frees id 7 again.
-        t.install(&Value::str("bob"), Version::tombstone(Ts(4), TxnId(4)))
-            .unwrap();
+        t.install(
+            &Value::str("bob"),
+            Version::tombstone(Ts(4), TxnId(4)),
+            Ts::ZERO,
+        )
+        .unwrap();
         t.install(
             &Value::str("carol"),
             Version::data(Ts(5), TxnId(5), acct_row("carol", 7)),
+            Ts::ZERO,
         )
         .unwrap();
     }
@@ -638,12 +673,14 @@ mod tests {
         t.install(
             &Value::str("alice"),
             Version::data(Ts(1), TxnId(1), acct_row("alice", 7)),
+            Ts::ZERO,
         )
         .unwrap();
         // Identity write: same image, new version stamp.
         t.install(
             &Value::str("alice"),
             Version::data(Ts(2), TxnId(2), acct_row("alice", 7)),
+            Ts::ZERO,
         )
         .unwrap();
         assert_eq!(t.version_count(), 2);
@@ -655,6 +692,7 @@ mod tests {
         t.install(
             &Value::str("alice"),
             Version::data(Ts(5), TxnId(1), acct_row("alice", 7)),
+            Ts::ZERO,
         )
         .unwrap();
         assert_eq!(
@@ -671,12 +709,14 @@ mod tests {
         t.install(
             &Value::str("alice"),
             Version::data(Ts(1), TxnId(1), acct_row("alice", 7)),
+            Ts::ZERO,
         )
         .unwrap();
         // id changes to 9 at ts2; a snapshot at ts1 should still find id 7.
         t.install(
             &Value::str("alice"),
             Version::data(Ts(2), TxnId(2), acct_row("alice", 9)),
+            Ts::ZERO,
         )
         .unwrap();
         assert_eq!(
@@ -693,6 +733,7 @@ mod tests {
             t.install(
                 &Value::str(*name),
                 Version::data(Ts(i as u64 + 1), TxnId(1), acct_row(name, i as i64)),
+                Ts::ZERO,
             )
             .unwrap();
         }
@@ -715,16 +756,22 @@ mod tests {
             t.install(
                 &Value::str("alice"),
                 Version::data(Ts(ts), TxnId(1), acct_row("alice", ts as i64)),
+                Ts::ZERO,
             )
             .unwrap();
         }
         t.install(
             &Value::str("bob"),
             Version::data(Ts(6), TxnId(1), acct_row("bob", 100)),
+            Ts::ZERO,
         )
         .unwrap();
-        t.install(&Value::str("bob"), Version::tombstone(Ts(7), TxnId(2)))
-            .unwrap();
+        t.install(
+            &Value::str("bob"),
+            Version::tombstone(Ts(7), TxnId(2)),
+            Ts::ZERO,
+        )
+        .unwrap();
         assert_eq!(t.version_count(), 7);
         let reclaimed = t.prune(Ts(100));
         // alice: 4 old versions; bob: data version + dead tombstone record.
@@ -748,6 +795,7 @@ mod tests {
         t.install(
             &Value::str("alice"),
             Version::data(Ts(3), TxnId(1), acct_row("alice", 1)),
+            Ts::ZERO,
         )
         .unwrap();
         assert_eq!(t.latest_ts(&Value::str("alice")), Some(Ts(3)));
@@ -760,6 +808,7 @@ mod tests {
             t.install(
                 &Value::str("alice"),
                 Version::data(Ts(ts), TxnId(1), acct_row("alice", ts as i64)),
+                Ts::ZERO,
             )
             .unwrap();
         }
@@ -821,7 +870,7 @@ mod tests {
             } else {
                 Version::data(Ts(ts), TxnId(ts), acct_row(name, ts as i64))
             };
-            t.install(&key, version).unwrap();
+            t.install(&key, version, Ts::ZERO).unwrap();
             hi.store(ts, SeqCst);
             if ts % 100 == 0 {
                 // However the OS schedules the two threads, let a whole

@@ -104,21 +104,71 @@ impl VersionChain {
         self.versions.push(v);
     }
 
+    /// Number of versions strictly older than the *anchor* — the newest
+    /// version with `ts <= horizon`, the oldest one a snapshot at or after
+    /// `horizon` can still read. The anchor is found from the tail, so the
+    /// cost is the number of versions above the horizon, not the chain
+    /// length.
+    fn below_anchor(&self, horizon: Ts) -> usize {
+        self.versions
+            .iter()
+            .rposition(|v| v.ts <= horizon)
+            .unwrap_or(0)
+    }
+
+    /// True when [`VersionChain::prune`] at `horizon` has work to do: a
+    /// version lies below the anchor, or the record is a dead tombstone.
+    /// Both storage backends' vacuum passes test this before touching a
+    /// record, so a chain whose versions all lie above the horizon is
+    /// never rewritten.
+    pub fn has_garbage(&self, horizon: Ts) -> bool {
+        self.below_anchor(horizon) > 0 || self.is_dead(horizon)
+    }
+
+    /// Copy-on-write install with pruning: the chain that results from
+    /// appending `v` after dropping every version below the anchor at
+    /// `horizon`. Copies only the anchor and the versions above it, never
+    /// the whole chain. Returns the new chain and the number of versions
+    /// left out; `Ts::ZERO` keeps everything (bulk load, recovery).
+    ///
+    /// # Panics
+    /// As [`VersionChain::install`].
+    pub fn installed(&self, v: Version, horizon: Ts) -> (VersionChain, usize) {
+        let (mut next, pruned) = self.copy_from_anchor(horizon, 1);
+        next.install(v);
+        (next, pruned)
+    }
+
+    /// Copy-on-write [`VersionChain::prune`]: a copy of the anchor at
+    /// `horizon` and every version above it, and the number left out.
+    pub fn pruned(&self, horizon: Ts) -> (VersionChain, usize) {
+        self.copy_from_anchor(horizon, 0)
+    }
+
+    /// Copies the anchor and the versions above it into a chain with room
+    /// for `spare` more.
+    fn copy_from_anchor(&self, horizon: Ts, spare: usize) -> (VersionChain, usize) {
+        let start = self.below_anchor(horizon);
+        let mut versions = Vec::with_capacity(self.versions.len() - start + spare);
+        versions.extend_from_slice(&self.versions[start..]);
+        (VersionChain { versions }, start)
+    }
+
+    /// Versions newer than `snap`, newest first. Walks from the tail and
+    /// stops at the snapshot, so a reader pays for the versions it cannot
+    /// see, not for the history below them.
+    pub fn newer_than(&self, snap: Ts) -> impl Iterator<Item = &Version> {
+        self.versions.iter().rev().take_while(move |v| v.ts > snap)
+    }
+
     /// Garbage-collects versions that no snapshot at or after `horizon`
     /// can ever read: drops every version strictly older than the newest
     /// version with `ts <= horizon` (that one is retained as the anchor).
     ///
     /// Returns the number of versions reclaimed.
     pub fn prune(&mut self, horizon: Ts) -> usize {
-        // Index of the newest version with ts <= horizon.
-        let anchor = match self.versions.iter().rposition(|v| v.ts <= horizon) {
-            Some(i) => i,
-            None => return 0,
-        };
-        if anchor == 0 {
-            return 0;
-        }
-        self.versions.drain(..anchor).count()
+        let below = self.below_anchor(horizon);
+        self.versions.drain(..below).count()
     }
 
     /// True when the chain holds only a tombstone that predates `horizon` —
@@ -214,6 +264,41 @@ mod tests {
         assert_eq!(c.prune(Ts(100)), 2);
         assert_eq!(c.len(), 1);
         assert_eq!(c.latest_ts(), Some(Ts(9)));
+    }
+
+    #[test]
+    fn installed_copies_from_the_anchor() {
+        let c = chain_123();
+        let (next, pruned) = c.installed(Version::data(Ts(12), TxnId(4), row(120)), Ts(6));
+        // ts1 lies below the anchor (ts5) for horizon 6.
+        assert_eq!(pruned, 1);
+        assert_eq!(next.iter().map(|v| v.ts.0).collect::<Vec<_>>(), [5, 9, 12]);
+        assert_eq!(c.len(), 3, "the source chain is untouched");
+        let (kept, none) = c.installed(Version::data(Ts(12), TxnId(4), row(120)), Ts::ZERO);
+        assert_eq!((kept.len(), none), (4, 0), "horizon zero keeps everything");
+        let (pruned, n) = c.pruned(Ts(100));
+        assert_eq!((pruned.len(), n), (1, 2));
+        assert_eq!(pruned.latest_ts(), Some(Ts(9)));
+    }
+
+    #[test]
+    fn garbage_means_below_the_anchor_or_dead() {
+        let c = chain_123();
+        assert!(!c.has_garbage(Ts(0)), "horizon precedes all versions");
+        assert!(!c.has_garbage(Ts(4)), "ts1 is the anchor: nothing below it");
+        assert!(c.has_garbage(Ts(5)));
+        let mut dead = VersionChain::new();
+        dead.install(Version::tombstone(Ts(3), TxnId(1)));
+        assert!(dead.has_garbage(Ts(3)));
+        assert!(!dead.has_garbage(Ts(2)));
+    }
+
+    #[test]
+    fn newer_than_walks_from_the_tail() {
+        let c = chain_123();
+        let ts: Vec<u64> = c.newer_than(Ts(4)).map(|v| v.ts.0).collect();
+        assert_eq!(ts, [9, 5]);
+        assert_eq!(c.newer_than(Ts(9)).count(), 0);
     }
 
     #[test]

@@ -62,6 +62,7 @@ fn steady_state_reads_perform_zero_allocations() {
                         TxnId(1),
                         Row::new(vec![key.clone(), Value::int(ts as i64)]),
                     ),
+                    Ts::ZERO,
                 )
                 .unwrap();
         }

@@ -409,6 +409,7 @@ pub fn recover_image(
                     .install(
                         key,
                         Version::data(CHECKPOINT_BASE_TS, CHECKPOINT_TXN, row.clone()),
+                        Ts::ZERO,
                     )
                     .map_err(|e| RecoveryError::Install(e.to_string()))?;
                 checkpoint_rows += 1;

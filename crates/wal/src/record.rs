@@ -1,12 +1,33 @@
 //! Log records and their durable binary encoding.
 //!
 //! Each record is framed as `[payload_len: u32][checksum: u64][payload]`
-//! (little-endian), where the checksum is FNV-1a over the payload bytes.
-//! The frame is what makes recovery crash-hardened: a torn tail — a crash
-//! mid-write leaving a byte prefix of the last record — fails either the
-//! length bound or the checksum, and [`crate::recovery::scan_log`]
-//! truncates the log at the first such failure instead of replaying
-//! garbage.
+//! (a fixed 12-byte little-endian header), where the checksum is FNV-1a
+//! over the payload bytes. The frame is what makes recovery
+//! crash-hardened: a torn tail — a crash mid-write leaving a byte prefix
+//! of the last record — fails either the length bound or the checksum,
+//! and [`crate::recovery::scan_log`] truncates the log at the first such
+//! failure instead of replaying garbage.
+//!
+//! The payload is compact. Every count and id is an unsigned LEB128
+//! varint (7 bits per byte, low group first, high bit set on all but the
+//! last byte), and integer cells are zigzag-encoded first so small
+//! negative numbers stay short:
+//!
+//! ```text
+//! payload = lsn:varint txn:varint n:varint entry*n
+//! entry   = table:varint key:value image
+//! image   = 0x00                              (delete)
+//!         | 0x01 arity:varint value*arity     (after-image)
+//! value   = 0x00                              (NULL)
+//!         | 0x01 zigzag(i64):varint           (INT)
+//!         | 0x02 len:varint utf8-bytes*len    (STR)
+//! ```
+//!
+//! A varint longer than ten bytes, or one whose value does not fit its
+//! field, decodes as [`DecodeError::Malformed`]. Checkpoint images encode
+//! their cells with the same value encoder. The byte count the log
+//! device is charged for is [`LogRecord::size_bytes`], a calibrated cost
+//! model that does not follow the encoding.
 
 use sicost_common::{TableId, TxnId};
 use sicost_storage::{Row, Value};
@@ -35,7 +56,9 @@ pub struct LogEntry {
 }
 
 impl LogEntry {
-    /// Approximate on-disk size in bytes (drives the device transfer cost).
+    /// Modelled on-disk size in bytes: drives the simulated device's
+    /// transfer cost, which the paper-calibrated figures depend on. It
+    /// models the original fixed-width layout, not the compact encoding.
     pub fn size_bytes(&self) -> usize {
         // Fixed header + key + image cells; a rough but monotone model.
         let key_sz = match &self.key {
@@ -61,34 +84,39 @@ pub struct LogRecord {
 }
 
 impl LogRecord {
-    /// Approximate serialized size in bytes.
+    /// Modelled serialized size in bytes (see [`LogEntry::size_bytes`]).
     pub fn size_bytes(&self) -> usize {
         32 + self.entries.iter().map(LogEntry::size_bytes).sum::<usize>()
     }
 
     /// Appends the framed binary encoding of this record to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut payload = Vec::with_capacity(self.size_bytes());
-        put_u64(&mut payload, self.lsn.0);
-        put_u64(&mut payload, self.txn.0);
-        put_u32(&mut payload, self.entries.len() as u32);
+        // Reserve the header, encode the payload in place behind it, then
+        // fill the header in: no intermediate payload buffer.
+        let start = out.len();
+        out.resize(start + FRAME_HEADER, 0);
+        put_varint(out, self.lsn.0);
+        put_varint(out, self.txn.0);
+        put_varint(out, self.entries.len() as u64);
         for e in &self.entries {
-            put_u32(&mut payload, e.table.0);
-            encode_value(&mut payload, &e.key);
+            put_varint(out, u64::from(e.table.0));
+            encode_value(out, &e.key);
             match &e.image {
-                None => payload.push(0),
+                None => out.push(0),
                 Some(row) => {
-                    payload.push(1);
-                    put_u32(&mut payload, row.arity() as u32);
+                    out.push(1);
+                    put_varint(out, row.arity() as u64);
                     for cell in row.cells() {
-                        encode_value(&mut payload, cell);
+                        encode_value(out, cell);
                     }
                 }
             }
         }
-        put_u32(out, payload.len() as u32);
-        put_u64(out, fnv1a(&payload));
-        out.extend_from_slice(&payload);
+        let payload = start + FRAME_HEADER;
+        let len = (out.len() - payload) as u32;
+        let checksum = fnv1a(&out[payload..]);
+        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        out[start + 4..payload].copy_from_slice(&checksum.to_le_bytes());
     }
 
     /// The framed binary encoding of this record.
@@ -119,22 +147,22 @@ impl LogRecord {
             buf: payload,
             pos: 0,
         };
-        let lsn = Lsn(cur.u64()?);
-        let txn = TxnId(cur.u64()?);
-        let n = cur.u32()? as usize;
-        // An entry is at least 6 bytes (table + value tag + image tag);
+        let lsn = Lsn(cur.varint()?);
+        let txn = TxnId(cur.varint()?);
+        let n = cur.length()?;
+        // An entry is at least 3 bytes (table + value tag + image tag);
         // bound n before allocating so a corrupt count cannot OOM us.
         if n > payload.len() {
             return Err(DecodeError::Malformed("entry count exceeds payload"));
         }
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
-            let table = TableId(cur.u32()?);
+            let table = TableId(cur.varint_u32()?);
             let key = decode_value(&mut cur)?;
             let image = match cur.u8()? {
                 0 => None,
                 1 => {
-                    let arity = cur.u32()? as usize;
+                    let arity = cur.length()?;
                     if arity > payload.len() {
                         return Err(DecodeError::Malformed("row arity exceeds payload"));
                     }
@@ -208,16 +236,35 @@ pub(crate) fn get_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes(b[0..8].try_into().expect("length checked"))
 }
 
+/// Appends `v` as an unsigned LEB128 varint.
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Zigzag mapping: 0, -1, 1, -2, … → 0, 1, 2, 3, …, so integers near
+/// zero of either sign get short varints.
+fn zigzag(i: i64) -> u64 {
+    ((i << 1) ^ (i >> 63)) as u64
+}
+
+fn unzigzag(u: u64) -> i64 {
+    (u >> 1) as i64 ^ -((u & 1) as i64)
+}
+
 pub(crate) fn encode_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => out.push(0),
         Value::Int(i) => {
             out.push(1);
-            put_u64(out, *i as u64);
+            put_varint(out, zigzag(*i));
         }
         Value::Str(s) => {
             out.push(2);
-            put_u32(out, s.len() as u32);
+            put_varint(out, s.len() as u64);
             out.extend_from_slice(s.as_bytes());
         }
     }
@@ -249,14 +296,41 @@ impl Cursor<'_> {
     pub(crate) fn u64(&mut self) -> Result<u64, DecodeError> {
         Ok(get_u64(self.take(8)?))
     }
+
+    /// An unsigned LEB128 varint of at most ten bytes.
+    pub(crate) fn varint(&mut self) -> Result<u64, DecodeError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            // The tenth byte holds bit 63 alone: anything more overflows.
+            if shift == 63 && b > 1 {
+                return Err(DecodeError::Malformed("over-long varint"));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        unreachable!("the tenth byte either ends the varint or is rejected")
+    }
+
+    /// A varint that must fit a `u32` field.
+    pub(crate) fn varint_u32(&mut self) -> Result<u32, DecodeError> {
+        u32::try_from(self.varint()?).map_err(|_| DecodeError::Malformed("varint exceeds u32"))
+    }
+
+    /// A varint count or length.
+    pub(crate) fn length(&mut self) -> Result<usize, DecodeError> {
+        Ok(self.varint_u32()? as usize)
+    }
 }
 
 pub(crate) fn decode_value(cur: &mut Cursor<'_>) -> Result<Value, DecodeError> {
     match cur.u8()? {
         0 => Ok(Value::Null),
-        1 => Ok(Value::Int(cur.u64()? as i64)),
+        1 => Ok(Value::Int(unzigzag(cur.varint()?))),
         2 => {
-            let len = cur.u32()? as usize;
+            let len = cur.length()?;
             let bytes = cur.take(len)?;
             let s = std::str::from_utf8(bytes)
                 .map_err(|_| DecodeError::Malformed("non-utf8 string"))?;

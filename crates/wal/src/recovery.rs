@@ -122,7 +122,7 @@ pub fn replay(records: &[LogRecord], catalog: &Catalog, base: Ts) -> Result<Ts, 
                 None => Version::tombstone(ts, rec.txn),
             };
             table
-                .install(&entry.key, version)
+                .install(&entry.key, version, Ts::ZERO)
                 .map_err(|e| RecoveryError::Install(e.to_string()))?;
         }
     }

@@ -114,24 +114,57 @@ fn money_display_shows_cents() {
 // WAL records: binary encoding round-trips and rejects corruption.
 // ---------------------------------------------------------------------
 
+/// Integers at the edges of the zigzag varint encoding.
+const EDGE_INTS: [i64; 4] = [i64::MIN, -1, 0, i64::MAX];
+
+fn random_string(rng: &mut Xoshiro256, len: usize) -> Value {
+    let s: String = (0..len)
+        .map(|_| char::from(b'a' + rng.next_below(26) as u8))
+        .collect();
+    Value::str(&s)
+}
+
 fn random_value(rng: &mut Xoshiro256) -> Value {
-    match rng.next_below(3) {
+    match rng.next_below(6) {
         0 => Value::Null,
         1 => Value::int(rng.next_below(u64::MAX) as i64),
-        _ => {
+        2 => Value::int(EDGE_INTS[rng.next_below(4) as usize]),
+        // One- and two-byte varints of either sign.
+        3 => Value::int(rng.next_below(512) as i64 - 256),
+        4 => {
             let len = rng.next_below(12) as usize;
-            let s: String = (0..len)
-                .map(|_| char::from(b'a' + rng.next_below(26) as u8))
-                .collect();
-            Value::str(&s)
+            random_string(rng, len)
+        }
+        // Empty or multi-KB: the string-length varint's extremes.
+        _ => {
+            let len = if rng.next_bool(0.5) {
+                0
+            } else {
+                1024 + rng.next_below(4096) as usize
+            };
+            random_string(rng, len)
         }
     }
 }
 
+fn random_table(rng: &mut Xoshiro256) -> sicost::common::TableId {
+    sicost::common::TableId(match rng.next_below(3) {
+        0 => rng.next_below(8),
+        // Two- and three-byte varints.
+        1 => 128 + rng.next_below(1 << 20),
+        _ => rng.next_below(u64::from(u32::MAX) + 1),
+    } as u32)
+}
+
 fn random_record(rng: &mut Xoshiro256) -> LogRecord {
-    let entries = (0..rng.next_below(5))
+    let n = if rng.next_bool(0.05) {
+        64 + rng.next_below(192)
+    } else {
+        rng.next_below(5)
+    };
+    let entries = (0..n)
         .map(|_| LogEntry {
-            table: sicost::common::TableId(rng.next_below(8) as u32),
+            table: random_table(rng),
             key: random_value(rng),
             image: if rng.next_bool(0.3) {
                 None
@@ -158,6 +191,88 @@ fn wal_record_encoding_round_trips() {
             LogRecord::decode(&bytes).unwrap_or_else(|e| panic!("case {case}: decode failed: {e}"));
         assert_eq!(back, rec, "case {case}");
         assert_eq!(used, bytes.len(), "case {case}");
+    }
+}
+
+/// Frames `payload` the way the log does: `[len][fnv1a][payload]`.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&sicost::wal::record::fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// A payload that passes its checksum but holds a varint longer than a
+/// `u64`, or one that overflows its field, is malformed — never a panic
+/// and never a record.
+#[test]
+fn over_long_varints_decode_as_malformed() {
+    let malformed = |payload: &[u8]| {
+        let err = LogRecord::decode(&frame(payload)).unwrap_err();
+        assert!(
+            matches!(err, sicost::wal::DecodeError::Malformed(_)),
+            "{payload:02x?} gave {err:?}"
+        );
+    };
+    // Eleven bytes, every one with the continuation bit.
+    malformed(&[0xff; 11]);
+    // Ten bytes whose last carries more than bit 63.
+    let mut overflow = vec![0xff; 9];
+    overflow.push(0x02);
+    malformed(&overflow);
+    // A continuation bit on the payload's last byte.
+    malformed(&[0x01, 0x01, 0x81]);
+    // A table id (lsn 1, txn 1, one entry) that does not fit a u32.
+    malformed(&[0x01, 0x01, 0x01, 0x80, 0x80, 0x80, 0x80, 0x10, 0x00, 0x00]);
+    // A well-formed header for comparison decodes: lsn 1, txn 1, no entries.
+    assert!(LogRecord::decode(&frame(&[0x01, 0x01, 0x00])).is_ok());
+}
+
+/// A log torn at any byte offset scans to exactly the records that lie
+/// wholly before the tear, and reports the torn frame's offset.
+#[test]
+fn scan_log_truncates_a_frame_torn_at_any_offset() {
+    // Small records (every cut rescans the log), still with multi-byte
+    // varints in each field.
+    let records: Vec<LogRecord> = (0..6u64)
+        .map(|i| LogRecord {
+            lsn: Lsn(126 + i),
+            txn: TxnId(1 << (7 * i)),
+            entries: (0..i)
+                .map(|j| LogEntry {
+                    table: sicost::common::TableId(127 + j as u32),
+                    key: Value::int(EDGE_INTS[j as usize % 4]),
+                    image: (j % 2 == 0).then(|| Row::new(vec![Value::str("torn"), Value::Null])),
+                })
+                .collect(),
+        })
+        .collect();
+    let mut log = Vec::new();
+    let mut ends = Vec::new();
+    for r in &records {
+        r.encode_into(&mut log);
+        ends.push(log.len());
+    }
+    for cut in 0..=log.len() {
+        let scan = sicost::wal::scan_log(&log[..cut]);
+        let whole = ends.iter().take_while(|&&end| end <= cut).count();
+        assert_eq!(scan.records, records[..whole], "cut at {cut}");
+        let start = if whole == 0 { 0 } else { ends[whole - 1] };
+        match scan.truncated {
+            None => assert_eq!(start, cut, "cut at {cut} inside a frame went unnoticed"),
+            Some(t) => {
+                assert_eq!(t.offset, start, "cut at {cut}");
+                assert!(
+                    matches!(
+                        t.cause,
+                        sicost::wal::DecodeError::TruncatedHeader
+                            | sicost::wal::DecodeError::TruncatedPayload
+                    ),
+                    "cut at {cut}: {:?}",
+                    t.cause
+                );
+            }
+        }
     }
 }
 

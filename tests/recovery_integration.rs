@@ -59,6 +59,7 @@ fn wal_replay_reproduces_every_balance() {
                     TxnId(u64::MAX),
                     Row::new(vec![Value::str(customer_name(i)), Value::int(i as i64)]),
                 ),
+                Ts::ZERO,
             )
             .unwrap();
     }
@@ -76,6 +77,7 @@ fn wal_replay_reproduces_every_balance() {
                         Value::int(rng.range_inclusive(slo, shi)),
                     ]),
                 ),
+                Ts::ZERO,
             )
             .unwrap();
     }
@@ -93,6 +95,7 @@ fn wal_replay_reproduces_every_balance() {
                         Value::int(rng.range_inclusive(clo, chi)),
                     ]),
                 ),
+                Ts::ZERO,
             )
             .unwrap();
     }
@@ -106,6 +109,7 @@ fn wal_replay_reproduces_every_balance() {
                     TxnId(u64::MAX),
                     Row::new(vec![Value::int(i as i64), Value::int(0)]),
                 ),
+                Ts::ZERO,
             )
             .unwrap();
     }

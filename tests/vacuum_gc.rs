@@ -1,43 +1,49 @@
 //! Vacuum correctness and effectiveness under the full engine stack:
-//! bounded memory growth when the policy daemon runs, and — the safety
-//! side — no version visible to a live snapshot is ever reclaimed.
+//! bounded memory growth, and — the safety side — no version visible to
+//! a live snapshot is ever reclaimed, neither by a vacuum pass nor by the
+//! pruning every commit does when it installs.
 
-use sicost::driver::{run, RetryPolicy, RunConfig};
+use sicost::common::Xoshiro256;
 use sicost::engine::{CcMode, Database, EngineConfig, VacuumPolicy};
-use sicost::smallbank::{
-    SmallBank, SmallBankConfig, SmallBankDriver, SmallBankWorkload, Strategy, WorkloadParams,
-};
+use sicost::smallbank::{SmallBank, SmallBankConfig, SmallBankWorkload, Strategy, WorkloadParams};
 use sicost::storage::{ColumnDef, ColumnType, Row, TableSchema, Value};
-use std::sync::Arc;
-use std::time::Duration;
 
-/// Drives a seeded SSI SmallBank run in two phases and returns the
-/// engine's (max chain length, SIREAD entries) gauge after each.
+/// Concurrent clients per phase.
+const CLIENTS: usize = 4;
+/// Transactions each client runs per phase: the phases are bounded by
+/// operation count, so every host does the same amount of work.
+const OPS_PER_CLIENT: usize = 300;
+
+/// Drives a seeded SSI SmallBank workload in two count-bounded phases
+/// and returns the engine's (max chain length, SIREAD entries) gauge
+/// after each.
 fn two_phase_gauges(vacuum: VacuumPolicy, seed: u64) -> [(u64, u64); 2] {
     let engine = EngineConfig::functional()
         .with_cc(CcMode::Ssi)
         .with_vacuum(vacuum);
-    let bank = Arc::new(SmallBank::new(
-        &SmallBankConfig::small(64),
-        engine,
-        Strategy::BaseSI,
-    ));
-    let driver = SmallBankDriver::new(
-        Arc::clone(&bank),
-        SmallBankWorkload::new(WorkloadParams::paper_default().scaled(64, 8)),
-    );
+    let bank = SmallBank::new(&SmallBankConfig::small(64), engine, Strategy::BaseSI);
+    let workload = SmallBankWorkload::new(WorkloadParams::paper_default().scaled(64, 8));
     let mut gauges = [(0, 0); 2];
     for (phase, gauge) in gauges.iter_mut().enumerate() {
-        let metrics = run(
-            &driver,
-            &RunConfig::new(4)
-                .with_ramp_up(Duration::from_millis(10))
-                .with_measure(Duration::from_millis(200))
-                .with_seed(seed + phase as u64)
-                .with_retry(RetryPolicy::disabled()),
-        );
-        assert!(metrics.commits() > 20, "phase {phase} barely progressed");
+        let commits_before = bank.db().metrics().commits;
+        std::thread::scope(|s| {
+            for client in 0..CLIENTS {
+                let (bank, workload) = (&bank, &workload);
+                let stream = seed ^ (phase * CLIENTS + client) as u64;
+                s.spawn(move || {
+                    let mut rng = Xoshiro256::seed_from_u64(stream);
+                    for _ in 0..OPS_PER_CLIENT {
+                        // Serialization failures are part of the load.
+                        let _ = workload.execute(bank, &workload.sample(&mut rng));
+                    }
+                });
+            }
+        });
         let m = bank.db().metrics();
+        assert!(
+            m.commits - commits_before > 20,
+            "phase {phase} barely progressed"
+        );
         *gauge = (m.max_chain_len, m.siread_entries);
     }
     gauges
@@ -47,21 +53,24 @@ fn two_phase_gauges(vacuum: VacuumPolicy, seed: u64) -> [(u64, u64); 2] {
 fn gc_bounds_chains_and_sireads_where_no_gc_grows_them() {
     let off = two_phase_gauges(VacuumPolicy::disabled(), 0xCC0);
     let on = two_phase_gauges(VacuumPolicy::every_commits(200), 0xCC0);
-    // Without GC both gauges grow monotonically with the commit count.
-    assert!(
-        off[1].0 > off[0].0,
-        "GC-off max chain must keep growing: {off:?}"
-    );
+    // Every install prunes its chain to the oldest active snapshot, so
+    // chains stay bounded with the vacuum cadence on or off.
+    for (gc, gauges) in [("off", off), ("on", on)] {
+        for (phase, (chain, _)) in gauges.iter().enumerate() {
+            assert!(
+                *chain <= 64,
+                "GC-{gc} phase {phase}: max chain {chain} must stay bounded ({gauges:?})"
+            );
+        }
+    }
+    // SIREAD marks of committed readers are retired only by vacuum:
+    // without it they grow with the commit count.
     assert!(
         off[1].1 > off[0].1,
         "GC-off SIREAD footprint must keep growing: {off:?}"
     );
-    // With the commit-cadence daemon both stay bounded — far under the
-    // unvacuumed endpoint and under an absolute cadence-derived cap.
-    assert!(
-        on[1].0 < off[1].0 && on[1].0 <= 64,
-        "GC-on chain {on:?} must stay bounded vs GC-off {off:?}"
-    );
+    // With the commit-cadence daemon they stay under the unvacuumed
+    // endpoint.
     assert!(
         on[1].1 < off[1].1,
         "GC-on SIREAD {on:?} must stay bounded vs GC-off {off:?}"
@@ -95,18 +104,39 @@ fn counters_db(rows: i64) -> (Database, sicost::common::TableId) {
     (db, table)
 }
 
-/// The watermark invariant, end to end: a version still visible to *any*
-/// live snapshot survives every vacuum pass, no matter how much newer
-/// churn has piled on top of it.
-#[test]
-fn vacuum_never_reclaims_a_version_a_live_snapshot_can_see() {
+/// Overwrites every row once, one transaction per row.
+fn overwrite_all(db: &Database, table: sicost::common::TableId, rows: i64, stamp: i64) {
+    for id in 0..rows {
+        let mut tx = db.begin();
+        tx.update(
+            table,
+            &Value::int(id),
+            Row::new(vec![Value::int(id), Value::int(stamp * rows + id)]),
+        )
+        .unwrap();
+        tx.commit().unwrap();
+    }
+}
+
+/// The watermark invariant, end to end: readers pinned between churn
+/// rounds must re-read exactly what they saw at begin, however much
+/// churn piles on top and however the horizon advances as older readers
+/// finish. With `vacuum`, a pass follows every churn sweep; without it,
+/// only the installs prune.
+fn pinned_readers_keep_their_snapshots(vacuum: bool) {
     const ROWS: i64 = 8;
     const ROUNDS: usize = 6;
     let (db, table) = counters_db(ROWS);
+    let maybe_vacuum = || {
+        if vacuum {
+            db.vacuum();
+        }
+    };
 
     // Readers opened between churn rounds: each records what its
-    // snapshot saw at begin time and stays open to the very end.
+    // snapshot saw at begin time and stays open until its turn below.
     let mut pinned = Vec::new();
+    let mut stamp = 0;
     for round in 0..ROUNDS {
         let mut reader = db.begin();
         let mut seen = Vec::new();
@@ -117,65 +147,81 @@ fn vacuum_never_reclaims_a_version_a_live_snapshot_can_see() {
                 .expect("populated");
             seen.push(row.int(1));
         }
-        pinned.push((reader, seen));
+        pinned.push((round, reader, seen));
 
         // Churn: overwrite every row several times, vacuuming after each
         // sweep so any horizon bug would reclaim what a reader still needs.
-        for sweep in 0..4 {
-            for id in 0..ROWS {
-                let mut tx = db.begin();
-                let stamp = (round * 4 + sweep + 1) as i64;
-                tx.update(
-                    table,
-                    &Value::int(id),
-                    Row::new(vec![Value::int(id), Value::int(stamp * ROWS + id)]),
-                )
-                .unwrap();
-                tx.commit().unwrap();
-            }
-            db.vacuum();
+        for _ in 0..4 {
+            stamp += 1;
+            overwrite_all(&db, table, ROWS, stamp);
+            maybe_vacuum();
         }
     }
     let churned = db.metrics();
-    assert!(churned.vacuum_runs >= (ROUNDS * 4) as u64);
+    let passes = if vacuum { (ROUNDS * 4) as u64 } else { 0 };
+    assert_eq!(churned.vacuum_runs, passes);
     // The watermark did its job the conservative way round: with the
     // round-0 snapshot still live, *all* churn sits above the horizon and
-    // every pass must keep it.
+    // neither installs nor passes may drop any of it.
     assert_eq!(
         churned.versions_pruned, 0,
         "no version above the oldest live snapshot may be reclaimed"
     );
 
-    // Every pinned reader re-reads through its original snapshot and
-    // must see exactly what it saw at begin time.
-    for (round, (mut reader, seen)) in pinned.into_iter().enumerate() {
-        for id in 0..ROWS {
-            let row = reader
-                .read(table, &Value::int(id))
-                .unwrap()
-                .unwrap_or_else(|| panic!("round-{round} reader lost row {id} to vacuum"));
-            assert_eq!(
-                row.int(1),
-                seen[id as usize],
-                "round-{round} reader must re-read its snapshot of row {id}"
-            );
+    // Readers finish oldest first. After each, one more churn sweep runs
+    // at the advanced horizon, and every reader still pinned must
+    // re-read through its original snapshot exactly what it saw.
+    let mut pruned_while_pinned = 0;
+    while !pinned.is_empty() {
+        for (round, reader, seen) in pinned.iter_mut() {
+            for id in 0..ROWS {
+                let row = reader
+                    .read(table, &Value::int(id))
+                    .unwrap()
+                    .unwrap_or_else(|| panic!("round-{round} reader lost row {id}"));
+                assert_eq!(
+                    row.int(1),
+                    seen[id as usize],
+                    "round-{round} reader must re-read its snapshot of row {id}"
+                );
+            }
         }
-        reader.commit().unwrap();
-        // With that snapshot drained, the next vacuum may advance.
-        db.vacuum();
+        let (_, oldest, _) = pinned.remove(0);
+        oldest.commit().unwrap();
+        stamp += 1;
+        overwrite_all(&db, table, ROWS, stamp);
+        maybe_vacuum();
+        if !pinned.is_empty() {
+            pruned_while_pinned = db.metrics().versions_pruned;
+        }
     }
-
-    // All snapshots gone: vacuum converges the store to one live version
-    // per row, and the deferred churn finally becomes reclaimable.
-    db.vacuum();
-    let m = db.metrics();
     assert!(
-        m.max_chain_len <= 1,
-        "with no live snapshots every chain collapses, got {}",
+        pruned_while_pinned > 0,
+        "the horizon must advance, and reclaim, while later readers are pinned"
+    );
+
+    // All snapshots gone: one last sweep (and pass) converges every chain
+    // to the live version plus, without vacuum, the one it replaced.
+    stamp += 1;
+    overwrite_all(&db, table, ROWS, stamp);
+    maybe_vacuum();
+    let m = db.metrics();
+    let bound = if vacuum { 1 } else { 2 };
+    assert!(
+        m.max_chain_len <= bound,
+        "with no live snapshots every chain collapses to {bound}, got {}",
         m.max_chain_len
     );
-    assert!(
-        m.versions_pruned > 0,
-        "draining the snapshots must release the deferred churn"
-    );
+}
+
+#[test]
+fn vacuum_never_reclaims_a_version_a_live_snapshot_can_see() {
+    pinned_readers_keep_their_snapshots(true);
+}
+
+/// The same schedule with no vacuum pass at all: install-time pruning
+/// alone must keep every pinned reader's original values.
+#[test]
+fn install_pruning_never_drops_a_version_a_live_snapshot_can_see() {
+    pinned_readers_keep_their_snapshots(false);
 }
