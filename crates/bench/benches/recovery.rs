@@ -18,6 +18,11 @@
 //! the checkpoint frame, while the paged engine flushes only the dirty
 //! pages and writes a fixed-size frame — the incremental-checkpoint
 //! claim, asserted as a >10x frame-size gap on the same workload.
+//!
+//! A third section restores the paper's population (18 000 customers,
+//! 72 000 rows) from the checkpoint image taken right after it was
+//! loaded, in every mode: the restore-time cost of a checkpoint image at
+//! the scale every figure runs on.
 
 use sicost_bench::{BenchMode, BenchReport};
 use sicost_common::{Money, OnlineStats, Summary, Xoshiro256};
@@ -133,6 +138,39 @@ fn checkpoint_cost(storage: StoragePolicy, ops: u64, customers: u64) -> Checkpoi
     }
 }
 
+/// Restores a freshly loaded `SmallBankConfig::paper()` instance from the
+/// checkpoint taken right after population, `samples` times, auditing
+/// each restored instance with the balance oracle. Returns the rows
+/// restored and the median restore time in µs.
+fn population_restore(samples: u64) -> (usize, f64) {
+    let bank = SmallBank::new(
+        &SmallBankConfig::paper(),
+        EngineConfig::functional(),
+        Strategy::BaseSI,
+    );
+    bank.db().checkpoint().expect("post-population checkpoint");
+    let live = bank.total_balance();
+    let image = bank.db().durable_image();
+    let mut rows = 0;
+    let mut times: Vec<f64> = (0..samples)
+        .map(|_| {
+            let t0 = Instant::now();
+            let (rdb, rtables, outcome) =
+                recover_database(EngineConfig::functional(), &image).expect("restore succeeds");
+            let us = t0.elapsed().as_secs_f64() * 1e6;
+            assert_eq!(
+                total_balance(&rdb, &rtables),
+                live,
+                "balance conservation across the restore"
+            );
+            rows = outcome.checkpoint_rows;
+            us
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    (rows, times[times.len() / 2])
+}
+
 fn main() {
     let mode = BenchMode::from_env();
     let (ops, customers) = match mode {
@@ -233,6 +271,17 @@ fn main() {
     );
     println!("{:-<100}", "");
 
+    // --- Restore at the paper's population, from the image of a
+    // checkpoint taken right after the load.
+    let (restored_rows, restore_us) = population_restore(mode.repeats().max(3));
+    let paper_rows = 4 * SmallBankConfig::paper().customers as usize;
+    assert_eq!(restored_rows, paper_rows, "every table row is restored");
+    println!(
+        "restore of the paper population (18 000 customers): {restored_rows} rows in {:.0} µs",
+        restore_us
+    );
+    println!("{:-<100}", "");
+
     report.x_label = "checkpoint interval (commits; 0 = init-only)".into();
     report.push_series("interval", &[bytes_series, time_series]);
     report.push_table(
@@ -271,6 +320,19 @@ fn main() {
             ],
         ],
     );
+    report.push_table(
+        "population-scale restore",
+        vec![
+            "population".into(),
+            "rows restored".into(),
+            "restore µs".into(),
+        ],
+        vec![vec![
+            "paper (18 000 customers)".into(),
+            restored_rows.to_string(),
+            format!("{restore_us:.0}"),
+        ]],
+    );
     let expectation = "Replayed bytes scale with the checkpoint interval, not the \
          run length: the init-only baseline replays the whole workload \
          history, while every auto-checkpointing scenario replays only \
@@ -281,6 +343,11 @@ fn main() {
     report.notes.push(format!(
         "functional engine, {customers} customers, {ops} single-threaded deposit ops, {} repeats",
         mode.repeats()
+    ));
+    report.notes.push(format!(
+        "population-scale restore: median of {} restores of a freshly loaded \
+         SmallBankConfig::paper() instance from its post-population checkpoint",
+        mode.repeats().max(3)
     ));
     println!("report: {}", report.write().display());
 }

@@ -2,15 +2,16 @@
 //! `BENCH_smallbank.json` at the repository root, and fails (non-zero
 //! exit) when any expected harness has not emitted a usable report —
 //! CI runs this after the smoke-mode bench suite as the "every harness
-//! reported" gate.
+//! reported" gate. The fold itself is [`sicost_bench::summary::fold`],
+//! which a test also runs to catch a committed fold gone stale.
 //!
 //! Overrides: `SICOST_BENCH_RESULTS` for the input directory,
 //! `SICOST_BENCH_SUMMARY` for the output path, `SICOST_BENCH_EXPECTED`
 //! (comma-separated names) for the expected-harness set — which
 //! otherwise comes from the crate's `src/harnesses.txt` registry.
 
-use sicost_bench::{expected_harnesses, results_dir, BenchReport, SCHEMA_VERSION};
-use sicost_common::Json;
+use sicost_bench::summary::{fold, load_reports};
+use sicost_bench::{expected_harnesses, results_dir};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -22,80 +23,28 @@ fn summary_path() -> PathBuf {
 }
 
 fn main() -> ExitCode {
-    let dir = results_dir();
-    let expected = expected_harnesses();
-    let mut failures = Vec::new();
-    let mut reports = Vec::new();
-    for name in &expected {
-        let path = dir.join(format!("{name}.json"));
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                failures.push(format!("{name}: missing report {} ({e})", path.display()));
-                continue;
+    let reports = match load_reports(&results_dir(), &expected_harnesses()) {
+        Ok(reports) => reports,
+        Err(failures) => {
+            eprintln!("bench_summary: {} problem(s):", failures.len());
+            for f in &failures {
+                eprintln!("  - {f}");
             }
-        };
-        let report = match BenchReport::parse(&text) {
-            Ok(r) => r,
-            Err(e) => {
-                failures.push(format!("{name}: unparseable report: {e}"));
-                continue;
-            }
-        };
-        if report.name != **name {
-            failures.push(format!(
-                "{name}: report is named `{}` — wrong file?",
-                report.name
-            ));
-            continue;
+            return ExitCode::FAILURE;
         }
-        if report.series.is_empty() && report.tables.is_empty() && report.certification.is_empty() {
-            failures.push(format!("{name}: report carries no data"));
-            continue;
-        }
+    };
+    for report in &reports {
         println!(
-            "  {name}: ok ({} series, {} tables, {} certified lines, mode {})",
+            "  {}: ok ({} series, {} tables, {} certified lines, mode {})",
+            report.name,
             report.series.len(),
             report.tables.len(),
             report.certification.len(),
             report.mode
         );
-        reports.push(report);
     }
-    if !failures.is_empty() {
-        eprintln!("bench_summary: {} problem(s):", failures.len());
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        return ExitCode::FAILURE;
-    }
-
-    // Fold. Modes can differ per file if the user mixed runs; record each.
-    let certified_lines: u64 = reports.iter().map(|r| r.certification.len() as u64).sum();
-    let total_anomalies: u64 = reports
-        .iter()
-        .flat_map(|r| &r.certification)
-        .map(|c| c.anomalies())
-        .sum();
-    let folded = Json::obj(vec![
-        ("schema_version", Json::int(SCHEMA_VERSION)),
-        ("harnesses", Json::int(reports.len() as u64)),
-        ("certified_lines", Json::int(certified_lines)),
-        ("total_anomalies", Json::int(total_anomalies)),
-        (
-            "reports",
-            Json::Obj(
-                reports
-                    .iter()
-                    .map(|r| (r.name.clone(), r.to_json()))
-                    .collect(),
-            ),
-        ),
-    ]);
     let out = summary_path();
-    let mut text = folded.pretty();
-    text.push('\n');
-    if let Err(e) = std::fs::write(&out, text) {
+    if let Err(e) = std::fs::write(&out, fold(&reports)) {
         eprintln!("bench_summary: cannot write {}: {e}", out.display());
         return ExitCode::FAILURE;
     }

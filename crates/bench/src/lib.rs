@@ -20,6 +20,7 @@
 pub mod figures;
 pub mod mode;
 pub mod report;
+pub mod summary;
 
 pub use figures::{
     abort_profile, certify_figure, certify_run, print_certification, print_figure, run_figure,

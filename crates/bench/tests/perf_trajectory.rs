@@ -13,19 +13,20 @@
 //!   runs, `null` when not recorded);
 //! * `workloads` — for each workload, `pairs` (how many alternating
 //!   parent/change runs the medians cover) and the medians of
-//!   `goodput_tps`, `latency_p50_us`, `latency_p99_us`, `abort_pct` and
-//!   `peak_rss_mb` (`null` where a source gave no number).
+//!   `goodput_tps`, `latency_p50_us`, `latency_p99_us`, `abort_pct`,
+//!   `setup_s` and `peak_rss_mb` (`null` where a source gave no number).
 
 use sicost_common::json::Json;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-const METRICS: [&str; 6] = [
+const METRICS: [&str; 7] = [
     "pairs",
     "goodput_tps",
     "latency_p50_us",
     "latency_p99_us",
     "abort_pct",
+    "setup_s",
     "peak_rss_mb",
 ];
 

@@ -368,12 +368,17 @@ impl Database {
     /// Bulk-loads rows into a table, bypassing the WAL and concurrency
     /// control (the moral equivalent of `COPY` into an empty table before
     /// the benchmark starts). All rows become visible atomically at one
-    /// fresh timestamp.
+    /// fresh timestamp. The rows go in as one batch
+    /// ([`sicost_storage::TableStore::install_batch`]), so the load is
+    /// linear in the row count.
     ///
     /// # Errors
-    /// Propagates schema/unique violations; on error, rows already
-    /// installed in this call remain (bulk load is for setup, not for
-    /// transactional use).
+    /// `TxnError::Constraint` for a schema or unique violation, and for a
+    /// primary key that appears twice in `rows` (or already has a version
+    /// at or after the load's timestamp). On error, rows already installed
+    /// in this call remain (bulk load is for setup, not for transactional
+    /// use). Either way the load's timestamp is published, so later
+    /// commits never wait on it.
     pub fn bulk_load(
         &self,
         table: TableId,
@@ -383,18 +388,13 @@ impl Database {
         let t = self.catalog.table(table);
         let pk = t.schema().primary_key;
         let loader = TxnId(u64::MAX); // sentinel writer id for provenance
-        let mut result = Ok(());
-        for row in rows {
-            let key = row.get(pk).clone();
-            let _shard = self.install_shard(table, &key);
-            if let Err(e) = t.install(&key, Version::data(ts, loader, row), Ts::ZERO) {
-                result = Err(crate::TxnError::Constraint(e.to_string()));
-                break;
-            }
-        }
-        // The reservation must be published even on error, or every later
-        // commit would wait on it forever (partial rows become visible —
-        // bulk load is setup-only, documented above).
+        let batch = rows
+            .into_iter()
+            .map(|row| (row.get(pk).clone(), Version::data(ts, loader, row)))
+            .collect();
+        let result = t
+            .install_batch(batch)
+            .map_err(|e| crate::TxnError::Constraint(e.to_string()));
         self.publish_commit(ts, None)?;
         result.map(|_| ts)
     }

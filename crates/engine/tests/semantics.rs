@@ -3,7 +3,9 @@
 
 use sicost_common::Ts;
 use sicost_engine::{CcMode, Database, EngineConfig, SerializationKind, SfuSemantics, TxnError};
-use sicost_storage::{Catalog, ColumnDef, ColumnType, Predicate, Row, TableSchema, Value};
+use sicost_storage::{
+    Catalog, ColumnDef, ColumnType, Predicate, Row, StoragePolicy, TableSchema, Value,
+};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -509,6 +511,32 @@ fn insert_duplicate_key_fails() {
     // insert() pre-check returns before locking, so the txn survives.
     assert!(t.read(tid, &Value::int(1)).is_ok());
     t.rollback();
+}
+
+#[test]
+fn bulk_load_rejects_a_duplicate_key_and_still_publishes_its_timestamp() {
+    for storage in [StoragePolicy::in_memory(), StoragePolicy::paged()] {
+        let db = Database::builder()
+            .table(schema())
+            .unwrap()
+            .config(EngineConfig::functional().with_storage(storage))
+            .build();
+        let tid = db.table_id("T").unwrap();
+        let err = db
+            .bulk_load(tid, [row(1, 10), row(2, 20), row(1, 11)])
+            .unwrap_err();
+        assert!(matches!(err, TxnError::Constraint(_)), "{storage}: {err}");
+        assert_eq!(
+            db.clock(),
+            Ts(1),
+            "{storage}: the load's timestamp is published"
+        );
+        // A later commit does not wait on the failed load.
+        let mut t = db.begin();
+        t.update(tid, &Value::int(1), row(1, 12)).unwrap();
+        t.commit().unwrap();
+        assert_eq!(read_v(&db, 1), 12, "{storage}");
+    }
 }
 
 #[test]

@@ -23,13 +23,11 @@ use super::heap::PageAddr;
 use super::pool::{BufferPool, PageHandle};
 use crate::predicate::{CmpOp, Predicate};
 use crate::row::Row;
-use crate::schema::{SchemaError, TableSchema};
-use crate::table::{InstallError, UniqueViolation};
+use crate::schema::TableSchema;
+use crate::table::{Constraints, InstallError};
 use crate::value::Value;
 use crate::version::{Version, VersionChain};
-use sicost_common::sync::RwLock;
 use sicost_common::{fnv1a, TableId, Ts};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -37,12 +35,11 @@ use std::sync::Arc;
 /// pool.
 pub struct PagedTable {
     id: TableId,
-    schema: TableSchema,
+    /// The schema and the unique indexes, checked exactly as the resident
+    /// store checks them.
+    constraints: Constraints,
     pages: u32,
     pool: Arc<BufferPool>,
-    /// value -> primary key, one map per `schema.unique` entry. Latest
-    /// committed state, exactly like the resident store's maps.
-    unique_maps: Vec<RwLock<HashMap<Value, Value>>>,
     /// Longest chain since the last prune, maintained on install and
     /// recomputed exactly by `prune`'s page walk. A gauge read must not
     /// fault pages in through the pool, so this is never computed on
@@ -60,17 +57,11 @@ impl PagedTable {
         pool: Arc<BufferPool>,
     ) -> Self {
         assert!(pages_per_table > 0, "a table needs at least one page");
-        let unique_maps = schema
-            .unique
-            .iter()
-            .map(|_| RwLock::new(HashMap::new()))
-            .collect();
         Self {
             id,
-            schema,
+            constraints: Constraints::new(schema),
             pages: pages_per_table,
             pool,
-            unique_maps,
             max_len: AtomicUsize::new(0),
         }
     }
@@ -93,7 +84,7 @@ impl PagedTable {
 
     /// Schema.
     pub fn schema(&self) -> &TableSchema {
-        &self.schema
+        self.constraints.schema()
     }
 
     /// Page fan-out of this table.
@@ -108,7 +99,7 @@ impl crate::TableStore for PagedTable {
     }
 
     fn schema(&self) -> &TableSchema {
-        &self.schema
+        self.constraints.schema()
     }
 
     fn read_version(&self, key: &Value, snap: Ts, f: &mut dyn FnMut(Option<&Version>)) {
@@ -132,60 +123,13 @@ impl crate::TableStore for PagedTable {
     /// Ignores `horizon`: this backend prunes at vacuum only (DESIGN.md
     /// §11 says why), so it always reports 0 versions dropped.
     fn install(&self, key: &Value, version: Version, _horizon: Ts) -> Result<usize, InstallError> {
-        // Identical validation to the resident store.
-        if let Some(row) = version.row() {
-            self.schema
-                .validate(row.cells())
-                .map_err(InstallError::Schema)?;
-            let pk_cell = row.get(self.schema.primary_key);
-            if pk_cell != key {
-                return Err(InstallError::Schema(SchemaError::BadDeclaration(format!(
-                    "primary key cell {pk_cell} does not match chain key {key}"
-                ))));
-            }
-        }
+        self.constraints.check_image(key, &version)?;
         let mut handle = self.pool.fetch(self.addr_of(key));
         let mut cells = handle.write();
-        let old_row = cells
-            .get(key)
-            .and_then(|c| c.latest())
-            .and_then(|v| v.row().cloned());
-        // Unique checks against latest committed state. Lock order is
-        // page -> unique map everywhere, so this cannot deadlock with
-        // concurrent installs on other pages.
-        if let Some(new_row) = version.row() {
-            for (slot, &col) in self.schema.unique.iter().enumerate() {
-                let new_val = new_row.get(col);
-                if new_val.is_null() {
-                    continue; // SQL UNIQUE admits multiple NULLs
-                }
-                let map = self.unique_maps[slot].read();
-                if let Some(owner) = map.get(new_val) {
-                    if owner != key {
-                        return Err(InstallError::Unique(UniqueViolation {
-                            table: self.schema.name.clone(),
-                            column: self.schema.columns[col].name.clone(),
-                            value: new_val.clone(),
-                        }));
-                    }
-                }
-            }
-        }
-        for (slot, &col) in self.schema.unique.iter().enumerate() {
-            let mut map = self.unique_maps[slot].write();
-            if let Some(old) = &old_row {
-                let old_val = old.get(col);
-                if !old_val.is_null() {
-                    map.remove(old_val);
-                }
-            }
-            if let Some(new_row) = version.row() {
-                let new_val = new_row.get(col);
-                if !new_val.is_null() {
-                    map.insert(new_val.clone(), key.clone());
-                }
-            }
-        }
+        // Lock order is page -> unique map everywhere, so this cannot
+        // deadlock with concurrent installs on other pages.
+        self.constraints
+            .admit(key, cells.get(key).and_then(|c| c.latest()), &version)?;
         // Past the checks: only now materialize the chain, so a rejected
         // install leaves no empty chain behind in the page.
         let chain = cells.entry(key.clone()).or_default();
@@ -195,8 +139,8 @@ impl crate::TableStore for PagedTable {
     }
 
     fn lookup_unique(&self, unique_slot: usize, value: &Value, snap: Ts) -> Option<Value> {
-        let col = self.schema.unique[unique_slot];
-        let pk = self.unique_maps[unique_slot].read().get(value).cloned();
+        let col = self.schema().unique[unique_slot];
+        let pk = self.constraints.unique_owner(unique_slot, value);
         match pk {
             Some(pk) => {
                 let mut verified = None;

@@ -160,13 +160,32 @@ pub trait TableStore: Send + Sync {
 
     /// Installs a committed version for `key`, enforcing schema validity
     /// and unique constraints. Must be called from within the engine's
-    /// commit critical section so installs follow commit order.
+    /// commit critical section so installs follow commit order; a version
+    /// not newer than the key's latest is rejected as
+    /// [`InstallError::OutOfOrder`].
     ///
     /// `horizon` is the oldest snapshot still in use. A backend may drop
     /// the versions of `key` that lie below the anchor at `horizon` (the
     /// newest version with `ts <= horizon`) while it installs; `Ts::ZERO`
     /// keeps them all. Returns the number of versions dropped.
     fn install(&self, key: &Value, version: Version, horizon: Ts) -> Result<usize, InstallError>;
+
+    /// Installs a batch of committed versions and keeps every version:
+    /// bulk load and checkpoint restore. The checks and the result are
+    /// those of [`TableStore::install`] at horizon `Ts::ZERO`, row by row;
+    /// a key that already holds a version at or after a row's timestamp
+    /// (the same key twice in one batch) is an error, not a panic. On
+    /// error, the rows already admitted stay installed.
+    ///
+    /// The default installs row by row, which is linear on the paged
+    /// backend. The resident store overrides it to copy each shard map
+    /// once per batch instead of once per new record.
+    fn install_batch(&self, batch: Vec<(Value, Version)>) -> Result<(), InstallError> {
+        for (key, version) in batch {
+            self.install(&key, version, Ts::ZERO)?;
+        }
+        Ok(())
+    }
 
     /// Looks up a primary key through unique secondary index `unique_slot`,
     /// verified against `snap`.
@@ -277,6 +296,10 @@ impl TableStore for crate::table::Table {
 
     fn install(&self, key: &Value, version: Version, horizon: Ts) -> Result<usize, InstallError> {
         crate::table::Table::install(self, key, version, horizon)
+    }
+
+    fn install_batch(&self, batch: Vec<(Value, Version)>) -> Result<(), InstallError> {
+        crate::table::Table::install_batch(self, batch)
     }
 
     fn lookup_unique(&self, unique_slot: usize, value: &Value, snap: Ts) -> Option<Value> {

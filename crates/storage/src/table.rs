@@ -15,14 +15,18 @@
 //!
 //! Write-side costs: an install copies the record's chain from the anchor
 //! at the oldest active snapshot (O(versions some snapshot can still
-//! read)), leaving older versions behind, and a record create/drop
-//! clones one shard's map (O(records per shard)). Unique secondary
+//! read)), leaving older versions behind, and a single-row create or a
+//! vacuum drop clones one shard's map (O(records per shard)). A batched
+//! install ([`Table::install_batch`], for bulk load and checkpoint
+//! restore) clones each touched shard's map once for all of its new
+//! records, so loading n rows costs O(n), not O(n²). Unique secondary
 //! indexes remain `RwLock`-guarded: they are only consulted on write
 //! paths (installs and index lookups), not on the primary-key read path.
 //!
 //! Lock ordering within a table: `Shard::write` before `VersionCell::write`
-//! (only [`Table::prune`] holds both); installers take `Shard::write`
-//! only inside record creation, before acquiring any cell lock.
+//! (only [`Table::prune`] and [`Table::install_batch`] hold both);
+//! [`Table::install`] takes `Shard::write` only inside record creation,
+//! before acquiring any cell lock.
 
 use crate::predicate::Predicate;
 use crate::row::Row;
@@ -33,14 +37,15 @@ use sicost_common::epoch::{self, Guard};
 use sicost_common::sync::{Mutex, RwLock};
 use sicost_common::{TableId, Ts};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::Arc;
 
 /// Number of hash shards per table. Shards bound the copy cost of a
-/// record create/drop (one shard's map is cloned) and the blast radius of
-/// a vacuum pass; readers never lock a shard.
+/// single-row create or a drop (one shard's map is cloned) and the blast
+/// radius of a vacuum pass; readers never lock a shard.
 const SHARDS: usize = 64;
 
 /// The outcome of a snapshot read: which version was visible and its image.
@@ -75,6 +80,113 @@ impl std::fmt::Display for UniqueViolation {
 }
 
 impl std::error::Error for UniqueViolation {}
+
+/// The checks every install makes, on either backend and on the batched
+/// path: the table's schema, and its unique secondary indexes.
+pub(crate) struct Constraints {
+    schema: TableSchema,
+    /// One map per `schema.unique` entry: indexed-column value → primary
+    /// key. Reflects the *latest committed* state; uniqueness is enforced
+    /// inside the engine's commit critical section, which serialises
+    /// installs.
+    unique: Vec<RwLock<HashMap<Value, Value>>>,
+}
+
+impl Constraints {
+    pub(crate) fn new(schema: TableSchema) -> Self {
+        let unique = schema
+            .unique
+            .iter()
+            .map(|_| RwLock::new(HashMap::new()))
+            .collect();
+        Self { schema, unique }
+    }
+
+    pub(crate) fn schema(&self) -> &TableSchema {
+        &self.schema
+    }
+
+    /// The key whose latest committed image holds `value` in unique index
+    /// `slot`.
+    pub(crate) fn unique_owner(&self, slot: usize, value: &Value) -> Option<Value> {
+        self.unique[slot].read().get(value).cloned()
+    }
+
+    /// Validates `version`'s image against the schema and checks that its
+    /// primary-key cell is `key`. Takes no lock, so installs run it before
+    /// they touch the table.
+    pub(crate) fn check_image(&self, key: &Value, version: &Version) -> Result<(), InstallError> {
+        if let Some(row) = version.row() {
+            self.schema
+                .validate(row.cells())
+                .map_err(InstallError::Schema)?;
+            let pk_cell = row.get(self.schema.primary_key);
+            if pk_cell != key {
+                return Err(InstallError::Schema(SchemaError::BadDeclaration(format!(
+                    "primary key cell {pk_cell} does not match chain key {key}"
+                ))));
+            }
+        }
+        Ok(())
+    }
+
+    /// Admits `version` as the next version of `key`, whose newest version
+    /// is `latest`. It must be newer than `latest`, and no other key may
+    /// hold one of its unique values. On success, moves `key`'s
+    /// unique-index entries from `latest`'s image to `version`'s. The
+    /// caller holds `key`'s write lock (its cell or its page), so `latest`
+    /// stays the newest version until the caller publishes.
+    pub(crate) fn admit(
+        &self,
+        key: &Value,
+        latest: Option<&Version>,
+        version: &Version,
+    ) -> Result<(), InstallError> {
+        if let Some(latest) = latest.filter(|l| l.ts >= version.ts) {
+            return Err(InstallError::OutOfOrder {
+                table: self.schema.name.clone(),
+                key: key.clone(),
+                ts: version.ts,
+                latest: latest.ts,
+            });
+        }
+        if let Some(new_row) = version.row() {
+            for (slot, &col) in self.schema.unique.iter().enumerate() {
+                let new_val = new_row.get(col);
+                if new_val.is_null() {
+                    continue; // SQL UNIQUE admits multiple NULLs
+                }
+                if let Some(owner) = self.unique[slot].read().get(new_val) {
+                    if owner != key {
+                        return Err(InstallError::Unique(UniqueViolation {
+                            table: self.schema.name.clone(),
+                            column: self.schema.columns[col].name.clone(),
+                            value: new_val.clone(),
+                        }));
+                    }
+                }
+            }
+        }
+        // Past the checks: move the index entries.
+        let old_row = latest.and_then(Version::row);
+        for (slot, &col) in self.schema.unique.iter().enumerate() {
+            let mut map = self.unique[slot].write();
+            if let Some(old) = old_row {
+                let old_val = old.get(col);
+                if !old_val.is_null() {
+                    map.remove(old_val);
+                }
+            }
+            if let Some(new_row) = version.row() {
+                let new_val = new_row.get(col);
+                if !new_val.is_null() {
+                    map.insert(new_val.clone(), key.clone());
+                }
+            }
+        }
+        Ok(())
+    }
+}
 
 /// One record's state: the current chain snapshot behind an atomic
 /// pointer, a writer mutex serialising copy-on-write replacements, and a
@@ -179,27 +291,17 @@ const _: fn() = || {
 /// lock-free (see the module docs).
 pub struct Table {
     id: TableId,
-    schema: TableSchema,
+    constraints: Constraints,
     shards: Vec<Shard>,
-    /// One map per `schema.unique` entry: indexed-column value → primary key.
-    /// Reflects the *latest committed* state; uniqueness is enforced inside
-    /// the engine's commit critical section, which serialises installs.
-    unique_maps: Vec<RwLock<HashMap<Value, Value>>>,
 }
 
 impl Table {
     /// Creates an empty table.
     pub fn new(id: TableId, schema: TableSchema) -> Self {
-        let unique_maps = schema
-            .unique
-            .iter()
-            .map(|_| RwLock::new(HashMap::new()))
-            .collect();
         Self {
             id,
-            schema,
+            constraints: Constraints::new(schema),
             shards: (0..SHARDS).map(|_| Shard::new()).collect(),
-            unique_maps,
         }
     }
 
@@ -210,13 +312,17 @@ impl Table {
 
     /// The table's schema.
     pub fn schema(&self) -> &TableSchema {
-        &self.schema
+        self.constraints.schema()
+    }
+
+    fn shard_index(key: &Value) -> usize {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        (h.finish() as usize) % SHARDS
     }
 
     fn shard_for(&self, key: &Value) -> &Shard {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
+        &self.shards[Self::shard_index(key)]
     }
 
     /// Lock-free lookup of the record cell for `key` under an epoch pin.
@@ -288,7 +394,9 @@ impl Table {
 
     /// Installs a committed version for `key`, enforcing unique constraints
     /// and schema validity. Must be called from within the engine's commit
-    /// critical section so that installs follow commit order.
+    /// critical section so that installs follow commit order; a version
+    /// not newer than the key's latest is rejected as
+    /// [`InstallError::OutOfOrder`].
     ///
     /// The replacement chain is built from the anchor at `horizon` (the
     /// oldest snapshot still in use): versions below it are left out of
@@ -300,18 +408,7 @@ impl Table {
         version: Version,
         horizon: Ts,
     ) -> Result<usize, InstallError> {
-        // Validate the image against the schema and check PK consistency.
-        if let Some(row) = version.row() {
-            self.schema
-                .validate(row.cells())
-                .map_err(InstallError::Schema)?;
-            let pk_cell = row.get(self.schema.primary_key);
-            if pk_cell != key {
-                return Err(InstallError::Schema(SchemaError::BadDeclaration(format!(
-                    "primary key cell {pk_cell} does not match chain key {key}"
-                ))));
-            }
-        }
+        self.constraints.check_image(key, &version)?;
         loop {
             let cell = self.cell_or_create(key);
             let _w = cell.write.lock();
@@ -324,48 +421,68 @@ impl Table {
             }
             let g = epoch::pin();
             let chain = cell.load(&g);
-            // Unique maintenance needs the previous image to unlink old
-            // entries.
-            let old_row = chain.latest().and_then(|v| v.row().cloned());
-            if let Some(new_row) = version.row() {
-                for (slot, &col) in self.schema.unique.iter().enumerate() {
-                    let new_val = new_row.get(col);
-                    if new_val.is_null() {
-                        continue; // SQL UNIQUE admits multiple NULLs
-                    }
-                    let map = self.unique_maps[slot].read();
-                    if let Some(owner) = map.get(new_val) {
-                        if owner != key {
-                            return Err(InstallError::Unique(UniqueViolation {
-                                table: self.schema.name.clone(),
-                                column: self.schema.columns[col].name.clone(),
-                                value: new_val.clone(),
-                            }));
-                        }
-                    }
-                }
-            }
-            // Past the checks: mutate the indexes, then publish the new
-            // chain snapshot.
-            for (slot, &col) in self.schema.unique.iter().enumerate() {
-                let mut map = self.unique_maps[slot].write();
-                if let Some(old) = &old_row {
-                    let old_val = old.get(col);
-                    if !old_val.is_null() {
-                        map.remove(old_val);
-                    }
-                }
-                if let Some(new_row) = version.row() {
-                    let new_val = new_row.get(col);
-                    if !new_val.is_null() {
-                        map.insert(new_val.clone(), key.clone());
-                    }
-                }
-            }
+            self.constraints.admit(key, chain.latest(), &version)?;
             let (next, pruned) = chain.installed(version, horizon);
             cell.replace(next);
             return Ok(pruned);
         }
+    }
+
+    /// Installs a batch of committed versions and keeps every version, with
+    /// the checks and the result of [`Table::install`] at horizon
+    /// `Ts::ZERO`, row by row. Bulk load and checkpoint restore use it.
+    ///
+    /// The cost is linear in the batch: each touched shard's map is copied
+    /// once, takes every new record of the batch, and is published once,
+    /// where row-by-row installs copy it once per new record. A new
+    /// record's chain holds its one version and no spare capacity. A key
+    /// that already has a record gets the copy-on-write append under its
+    /// cell lock that `install` makes.
+    ///
+    /// # Errors
+    /// The first version that fails a check, including one for a key that
+    /// already holds a version at or after its timestamp (say, the same key
+    /// twice in one batch). Versions already admitted stay installed.
+    pub fn install_batch(&self, batch: Vec<(Value, Version)>) -> Result<(), InstallError> {
+        let mut by_shard: Vec<Vec<(Value, Version)>> =
+            self.shards.iter().map(|_| Vec::new()).collect();
+        for (key, version) in batch {
+            by_shard[Self::shard_index(&key)].push((key, version));
+        }
+        for (shard, rows) in self.shards.iter().zip(by_shard) {
+            if rows.is_empty() {
+                continue;
+            }
+            let _sw = shard.write.lock();
+            let g = epoch::pin();
+            let published = shard.load(&g);
+            let mut next = CellMap::with_capacity(published.len() + rows.len());
+            next.extend(published.iter().map(|(k, c)| (k.clone(), Arc::clone(c))));
+            let result = rows.into_iter().try_for_each(|(key, version)| {
+                self.constraints.check_image(&key, &version)?;
+                match next.entry(key) {
+                    Entry::Occupied(e) => {
+                        // Not retired: vacuum marks and unlinks a record
+                        // under the shard lock this batch holds.
+                        let cell = e.get();
+                        let _cw = cell.write.lock();
+                        let chain = cell.load(&g);
+                        self.constraints.admit(e.key(), chain.latest(), &version)?;
+                        cell.replace(chain.installed(version, Ts::ZERO).0);
+                    }
+                    Entry::Vacant(e) => {
+                        self.constraints.admit(e.key(), None, &version)?;
+                        e.insert(Arc::new(VersionCell::new(VersionChain::single(version))));
+                    }
+                }
+                Ok(())
+            });
+            // Publish what was admitted even on error: the unique indexes
+            // already name those records.
+            shard.replace(next);
+            result?;
+        }
+        Ok(())
     }
 
     /// Looks up a primary key through a unique secondary index and verifies
@@ -374,8 +491,8 @@ impl Table {
     ///
     /// `unique_slot` is the position within `schema.unique`.
     pub fn lookup_unique(&self, unique_slot: usize, value: &Value, snap: Ts) -> Option<Value> {
-        let col = self.schema.unique[unique_slot];
-        let pk = self.unique_maps[unique_slot].read().get(value).cloned();
+        let col = self.schema().unique[unique_slot];
+        let pk = self.constraints.unique_owner(unique_slot, value);
         match pk {
             Some(pk) => {
                 let vis = self.read_at(&pk, snap)?;
@@ -528,13 +645,26 @@ impl Table {
     }
 }
 
-/// Errors from [`Table::install`].
+/// Errors from [`Table::install`] and [`Table::install_batch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InstallError {
     /// The image violated the schema.
     Schema(SchemaError),
     /// The image violated a unique constraint.
     Unique(UniqueViolation),
+    /// The key already holds a version at or after the new one's
+    /// timestamp: a duplicate key in one bulk load, or an install out of
+    /// commit order.
+    OutOfOrder {
+        /// Table of the key.
+        table: String,
+        /// The key.
+        key: Value,
+        /// Timestamp of the rejected version.
+        ts: Ts,
+        /// Timestamp of the key's newest version.
+        latest: Ts,
+    },
 }
 
 impl std::fmt::Display for InstallError {
@@ -542,6 +672,15 @@ impl std::fmt::Display for InstallError {
         match self {
             InstallError::Schema(e) => write!(f, "{e}"),
             InstallError::Unique(e) => write!(f, "{e}"),
+            InstallError::OutOfOrder {
+                table,
+                key,
+                ts,
+                latest,
+            } => write!(
+                f,
+                "key {key} of {table} already holds a version at {latest}, not before {ts}"
+            ),
         }
     }
 }
@@ -825,6 +964,98 @@ mod tests {
         assert_eq!(newer, vec![2, 3]);
         assert!(t.with_chain(&Value::str("nobody"), |_| ()).is_none());
         assert_eq!(t.max_chain_len(), 3);
+    }
+
+    /// Rows `lo..hi` as `(name, CustomerId)` versions at `ts`; `shift`
+    /// moves every CustomerId, so a later batch can rewrite unique values.
+    fn named_rows(lo: i64, hi: i64, ts: u64, shift: i64) -> Vec<(Value, Version)> {
+        (lo..hi)
+            .map(|i| {
+                let name = format!("c{i:05}");
+                let version = Version::data(Ts(ts), TxnId(ts), acct_row(&name, i + shift));
+                (Value::str(name), version)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_install_matches_row_by_row() {
+        let (batched, by_row) = (accounts(), accounts());
+        // The first batch creates 600 records; the second updates 400 of
+        // them (moving their unique values) and creates 200 more.
+        let batches = [named_rows(0, 600, 1, 0), named_rows(200, 800, 2, 10_000)];
+        for batch in batches {
+            batched.install_batch(batch.clone()).unwrap();
+            for (key, version) in batch {
+                by_row.install(&key, version, Ts::ZERO).unwrap();
+            }
+        }
+        for snap in [Ts(1), Ts(2)] {
+            assert_eq!(batched.snapshot_at(snap), by_row.snapshot_at(snap));
+        }
+        assert_eq!(batched.version_count(), 1_200);
+        assert_eq!(batched.version_count(), by_row.version_count());
+        assert_eq!(
+            batched.max_chain_len(),
+            2,
+            "updated records hold two versions"
+        );
+        assert_eq!(batched.max_chain_len(), by_row.max_chain_len());
+        for id in [0, 199, 200, 599, 10_200, 10_599, 10_600, 10_799, 900] {
+            for snap in [Ts(1), Ts(2)] {
+                assert_eq!(
+                    batched.lookup_unique(0, &Value::int(id), snap),
+                    by_row.lookup_unique(0, &Value::int(id), snap),
+                    "CustomerId {id} at {snap}"
+                );
+            }
+        }
+        assert_eq!(
+            batched.lookup_unique(0, &Value::int(10_300), Ts(2)),
+            Some(Value::str("c00300"))
+        );
+        assert_eq!(batched.lookup_unique(0, &Value::int(300), Ts(2)), None);
+        assert_eq!(
+            batched.with_chain(&Value::str("c00000"), |c| c.len()),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn batched_install_rejects_what_row_by_row_rejects() {
+        let alice = |id| Version::data(Ts(1), TxnId(1), acct_row("alice", id));
+        let bob = Version::data(Ts(1), TxnId(1), acct_row("bob", 7));
+        // A unique collision inside one batch.
+        let t = accounts();
+        let err = t
+            .install_batch(vec![
+                (Value::str("alice"), alice(7)),
+                (Value::str("bob"), bob.clone()),
+            ])
+            .unwrap_err();
+        assert!(matches!(err, InstallError::Unique(_)), "{err}");
+        assert_eq!(
+            t.count_at(Ts(1)),
+            1,
+            "the first of the pair stays installed"
+        );
+        let r = accounts();
+        r.install(&Value::str("alice"), alice(7), Ts::ZERO).unwrap();
+        let err = r.install(&Value::str("bob"), bob, Ts::ZERO).unwrap_err();
+        assert!(matches!(err, InstallError::Unique(_)), "{err}");
+        // The same key twice at one timestamp is an error, not a panic.
+        let err = accounts()
+            .install_batch(vec![
+                (Value::str("alice"), alice(1)),
+                (Value::str("alice"), alice(2)),
+            ])
+            .unwrap_err();
+        assert!(matches!(err, InstallError::OutOfOrder { .. }), "{err}");
+        // A primary-key cell that disagrees with its key.
+        let err = accounts()
+            .install_batch(vec![(Value::str("carol"), alice(3))])
+            .unwrap_err();
+        assert!(matches!(err, InstallError::Schema(_)), "{err}");
     }
 
     /// Stress the orphan-cell race: a writer keeps updating, deleting and

@@ -69,6 +69,12 @@ impl VersionChain {
         Self::default()
     }
 
+    /// A chain holding only `v`, with no spare capacity: a record created
+    /// by a batched install costs one version's memory.
+    pub fn single(v: Version) -> Self {
+        Self { versions: vec![v] }
+    }
+
     /// Newest version visible at snapshot `snap` (newest `ts <= snap`).
     /// Scans from the tail because readers overwhelmingly want recent
     /// versions.
