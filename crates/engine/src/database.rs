@@ -491,9 +491,10 @@ impl Database {
             self.metrics.record_ssi_reclaimed(ssi_reclaimed);
             reclaimed += ssi_reclaimed;
         }
-        // Pruned chain/map snapshots sit in the epoch collector until
-        // every reader pinned before their replacement drains; push the
-        // collector so the memory actually returns under sustained load.
+        // Each install already freed a bounded few reclaimable snapshots
+        // through its own thread's epoch bag. This frees the rest of this
+        // thread's bag and of the bags handed off by threads that exited
+        // or overflowed, which installs drain only a few at a time.
         sicost_common::epoch::collect();
         self.last_vacuum_offset
             .store(self.wal.log_end_offset(), Ordering::Relaxed);

@@ -2,70 +2,90 @@
 //! the BW edge turns the read-only Balance into a Checking writer, which
 //! makes it conflict with DepositChecking and Amalgamate; the WT-side
 //! fixes leave Balance untouched.
+//!
+//! Each test scripts the overlap on one thread, with engine transactions
+//! over the strategy's [`Programs`]: one program's transaction begins,
+//! the other program runs and commits, and then the first runs and
+//! commits. No thread timing decides whether the two overlap.
 
 use sicost_common::Money;
-use sicost_engine::EngineConfig;
-use sicost_smallbank::{schema::customer_name, SmallBank, SmallBankConfig, Strategy};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use sicost_engine::{EngineConfig, Transaction};
+use sicost_smallbank::{
+    schema::customer_name, Programs, SbError, SmallBank, SmallBankConfig, Strategy,
+};
 
-/// Two threads hammer one customer: one with Balance, one with
-/// DepositChecking. Returns (balance serialization aborts, deposit
-/// serialization aborts).
-fn duel(strategy: Strategy) -> (u64, u64) {
-    let bank = Arc::new(SmallBank::new(
+/// Which program's transaction begins first, and so commits last.
+#[derive(Debug, Clone, Copy)]
+enum First {
+    Balance,
+    Deposit,
+}
+
+/// Runs `program` in `tx` and commits it.
+fn finish(
+    mut tx: Transaction<'_>,
+    program: impl FnOnce(&mut Transaction<'_>) -> Result<(), SbError>,
+) -> Result<(), SbError> {
+    program(&mut tx)?;
+    tx.commit()?;
+    Ok(())
+}
+
+/// Balance and DepositChecking on one customer, overlapped: `first`'s
+/// transaction begins, the other program runs and commits, and then
+/// `first` runs its program and commits. Returns (Balance's outcome,
+/// DepositChecking's outcome).
+fn overlap(strategy: Strategy, first: First) -> (Result<(), SbError>, Result<(), SbError>) {
+    let bank = SmallBank::new(
         &SmallBankConfig::small(4),
         EngineConfig::functional(),
         strategy,
-    ));
+    );
+    let programs = Programs {
+        tables: *bank.tables(),
+        mods: strategy.mods(),
+    };
     let name = customer_name(0);
-    let bal_aborts = AtomicU64::new(0);
-    let dc_aborts = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let bank2 = Arc::clone(&bank);
-        let name2 = name.clone();
-        let bal_ref = &bal_aborts;
-        let stop_ref = &stop;
-        s.spawn(move || {
-            for _ in 0..400 {
-                if let Err(e) = bank2.balance(&name2) {
-                    if e.is_serialization_failure() {
-                        bal_ref.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            stop_ref.store(true, Ordering::Relaxed);
-        });
-        let dc_ref = &dc_aborts;
-        let bank3 = Arc::clone(&bank);
-        let name3 = name.clone();
-        s.spawn(move || {
-            while !stop_ref.load(Ordering::Relaxed) {
-                if let Err(e) = bank3.deposit_checking(&name3, Money::dollars(1)) {
-                    if e.is_serialization_failure() {
-                        dc_ref.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        });
-    });
-    (
-        bal_aborts.load(Ordering::Relaxed),
-        dc_aborts.load(Ordering::Relaxed),
-    )
+    let balance = |tx: &mut Transaction<'_>| programs.balance(tx, &name).map(drop);
+    let deposit =
+        |tx: &mut Transaction<'_>| programs.deposit_checking(tx, &name, Money::dollars(1));
+    let db = bank.db();
+    let outer = db.begin();
+    match first {
+        First::Balance => {
+            let dc = finish(db.begin(), deposit);
+            (finish(outer, balance), dc)
+        }
+        First::Deposit => {
+            let bal = finish(db.begin(), balance);
+            (bal, finish(outer, deposit))
+        }
+    }
+}
+
+fn is_serialization_failure(r: &Result<(), SbError>) -> bool {
+    matches!(r, Err(e) if e.is_serialization_failure())
 }
 
 #[test]
 fn promote_bw_makes_balance_contend_with_deposits() {
     // Figure 6's striking bars: under PromoteBW-upd, Balance and
-    // DepositChecking both update Checking and serialization failures
-    // appear on that pair.
-    let (bal, dc) = duel(Strategy::PromoteBWUpd);
+    // DepositChecking both update Checking, so whichever commits second
+    // fails First-Updater-Wins on that row.
+    let (bal, dc) = overlap(Strategy::PromoteBWUpd, First::Deposit);
+    assert_eq!(bal, Ok(()), "Balance commits first");
     assert!(
-        bal + dc > 0,
-        "promoted Balance must conflict with DepositChecking (bal={bal}, dc={dc})"
+        is_serialization_failure(&dc),
+        "DepositChecking's Checking update must fail FUW: {dc:?}"
     );
+    let (bal, dc) = overlap(Strategy::PromoteBWUpd, First::Balance);
+    assert_eq!(dc, Ok(()), "DepositChecking commits first");
+    assert!(
+        is_serialization_failure(&bal),
+        "Balance's identity update must fail FUW: {bal:?}"
+    );
+    // The same script under plain SI: Balance writes nothing.
+    assert_eq!(overlap(Strategy::BaseSI, First::Deposit), (Ok(()), Ok(())));
 }
 
 #[test]
@@ -75,12 +95,13 @@ fn wt_side_fixes_leave_balance_conflict_free() {
         Strategy::MaterializeWT,
         Strategy::PromoteWTUpd,
     ] {
-        let (bal, dc) = duel(strategy);
-        assert_eq!(
-            (bal, dc),
-            (0, 0),
-            "{strategy}: Balance is read-only and DC only conflicts with itself"
-        );
+        for first in [First::Balance, First::Deposit] {
+            assert_eq!(
+                overlap(strategy, first),
+                (Ok(()), Ok(())),
+                "{strategy}, {first:?} first: Balance is read-only and DC only conflicts with itself"
+            );
+        }
     }
 }
 
@@ -88,12 +109,13 @@ fn wt_side_fixes_leave_balance_conflict_free() {
 fn materialize_bw_contends_only_via_the_conflict_table() {
     // MaterializeBW puts Conflict updates in Bal and WC, so Bal–DC stays
     // clean (DC does not touch Conflict in this option)…
-    let (bal, dc) = duel(Strategy::MaterializeBW);
-    assert_eq!(
-        (bal, dc),
-        (0, 0),
-        "Bal–DC must not conflict under MaterializeBW"
-    );
+    for first in [First::Balance, First::Deposit] {
+        assert_eq!(
+            overlap(Strategy::MaterializeBW, first),
+            (Ok(()), Ok(())),
+            "{first:?} first: Bal–DC must not conflict under MaterializeBW"
+        );
+    }
     // …which is exactly why its Figure 6 abort profile is mild compared
     // to PromoteBW-upd even though both fix the same edge.
 }

@@ -8,9 +8,9 @@
 //! snapshots behind atomic pointers**. Readers pin an epoch
 //! ([`sicost_common::epoch::pin`]), load the pointers, and traverse
 //! without taking any lock; writers copy the current snapshot, mutate the
-//! copy, swap the pointer, and hand the old snapshot to the epoch
-//! collector. Steady-state reads are therefore wait-free with respect to
-//! writers and **perform no allocation** (asserted by
+//! copy, swap the pointer, and retire the old snapshot's box to the
+//! epoch collector. Steady-state reads are therefore wait-free with
+//! respect to writers and **perform no allocation** (asserted by
 //! `tests/lockfree_reads.rs`).
 //!
 //! Write-side costs: an install copies the record's chain from the anchor
@@ -19,9 +19,13 @@
 //! vacuum drop clones one shard's map (O(records per shard)). A batched
 //! install ([`Table::install_batch`], for bulk load and checkpoint
 //! restore) clones each touched shard's map once for all of its new
-//! records, so loading n rows costs O(n), not O(n²). Unique secondary
-//! indexes remain `RwLock`-guarded: they are only consulted on write
-//! paths (installs and index lookups), not on the primary-key read path.
+//! records, so loading n rows costs O(n), not O(n²). Every replacement
+//! retires the old snapshot's box in O(1) bookkeeping, and the retire
+//! frees at most a few reclaimable snapshots (chains or shard maps) from
+//! the installing thread's epoch bag, so no install pays for reclaiming
+//! a backlog ([`sicost_common::epoch`]). Unique secondary indexes remain
+//! `RwLock`-guarded: they are only consulted on write paths (installs
+//! and index lookups), not on the primary-key read path.
 //!
 //! Lock ordering within a table: `Shard::write` before `VersionCell::write`
 //! (only [`Table::prune`] and [`Table::install_batch`] hold both);
@@ -223,8 +227,8 @@ impl VersionCell {
             .current
             .swap(Box::into_raw(Box::new(next)), Ordering::SeqCst);
         // SAFETY: `old` came from `Box::into_raw` and is now unlinked.
-        // Readers pinned before the swap may still hold it, so it goes to
-        // the epoch collector rather than being dropped here.
+        // Readers pinned before the swap may still hold it, so the box
+        // goes to this thread's epoch bag rather than being dropped here.
         epoch::retire(unsafe { Box::from_raw(old) });
     }
 }

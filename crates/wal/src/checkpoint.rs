@@ -2,11 +2,12 @@
 //!
 //! A checkpoint is a consistent snapshot of every table at a single
 //! published commit timestamp `C`, serialized into one FNV-1a-checksummed
-//! frame (the same `[len][checksum][payload]` framing as log records, so a
-//! torn checkpoint write is detected exactly like a torn log tail). The
-//! frame lands in one of two slots; a tiny *manifest* — also framed and
-//! checksummed — records which slot is live, the checkpoint timestamp, and
-//! the logical WAL byte offset `O` from which replay must resume.
+//! `[len: u32][checksum: u64][payload]` frame (log records use the same
+//! layout with a varint length, so a torn checkpoint write is detected
+//! exactly like a torn log tail). The frame lands in one of two slots; a
+//! tiny *manifest* — also framed and checksummed — records which slot is
+//! live, the checkpoint timestamp, and the logical WAL byte offset `O`
+//! from which replay must resume.
 //!
 //! Crash ordering is the whole game:
 //!
@@ -27,7 +28,6 @@
 
 use crate::record::{
     decode_value, encode_value, fnv1a, get_u32, get_u64, put_u32, put_u64, Cursor, DecodeError,
-    FRAME_HEADER,
 };
 use crate::recovery::{replay, scan_log, RecoveryError, ScanResult};
 use sicost_common::{TableId, Ts, TxnId};
@@ -42,6 +42,10 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 /// the data itself is the heap's pages — made durable by the dirty-page
 /// flush that precedes the frame write.
 pub const PAGED_CHECKPOINT_VERSION: u32 = 2;
+
+/// Bytes of the fixed `[len: u32][checksum: u64]` header of checkpoint
+/// and manifest frames.
+const FRAME_HEADER: usize = 12;
 
 /// The transaction id stamped on versions installed from a checkpoint
 /// frame. Recovery-only; no live transaction can carry it.

@@ -48,6 +48,6 @@ pub use checkpoint::{
 pub use sicost_common::device;
 
 pub use device::{DeviceStats, LogDevice, SyncError};
-pub use record::{DecodeError, LogEntry, LogRecord, Lsn, FRAME_HEADER};
+pub use record::{put_frame, read_frame, DecodeError, LogEntry, LogRecord, Lsn};
 pub use recovery::{recover, replay, scan_log, RecoveryError, ScanResult, Truncation};
 pub use writer::{Wal, WalConfig, WalError, WalStats};

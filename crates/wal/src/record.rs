@@ -1,12 +1,17 @@
 //! Log records and their durable binary encoding.
 //!
-//! Each record is framed as `[payload_len: u32][checksum: u64][payload]`
-//! (a fixed 12-byte little-endian header), where the checksum is FNV-1a
-//! over the payload bytes. The frame is what makes recovery
+//! Each record is framed as `[payload_len: varint][checksum: u64][payload]`,
+//! where the length is an unsigned LEB128 varint of at most five bytes
+//! (one byte for a payload under 128 bytes) and the checksum is FNV-1a
+//! over the payload bytes, little-endian. [`put_frame`] and [`read_frame`]
+//! are the one coding of the frame. The frame is what makes recovery
 //! crash-hardened: a torn tail — a crash mid-write leaving a byte prefix
 //! of the last record — fails either the length bound or the checksum,
 //! and [`crate::recovery::scan_log`] truncates the log at the first such
-//! failure instead of replaying garbage.
+//! failure instead of replaying garbage. A cut inside the length or the
+//! checksum decodes as [`DecodeError::TruncatedHeader`], a cut inside the
+//! payload as [`DecodeError::TruncatedPayload`], and a length varint of
+//! more than five bytes as [`DecodeError::Malformed`].
 //!
 //! The payload is compact. Every count and id is an unsigned LEB128
 //! varint (7 bits per byte, low group first, high bit set on all but the
@@ -18,16 +23,23 @@
 //! entry   = table:varint key:value image
 //! image   = 0x00                              (delete)
 //!         | 0x01 arity:varint value*arity     (after-image)
+//!         | 0x02 arity:varint at:varint value*(arity-1)
+//!                                             (after-image whose cell `at`
+//!                                              is the entry's key)
 //! value   = 0x00                              (NULL)
 //!         | 0x01 zigzag(i64):varint           (INT)
 //!         | 0x02 len:varint utf8-bytes*len    (STR)
 //! ```
 //!
+//! The encoder writes the first cell equal to the key as its index (image
+//! tag `0x02`), so a row that repeats its primary key, as every SmallBank
+//! row does, does not log it twice; it needs no schema to find that cell.
 //! A varint longer than ten bytes, or one whose value does not fit its
-//! field, decodes as [`DecodeError::Malformed`]. Checkpoint images encode
-//! their cells with the same value encoder. The byte count the log
-//! device is charged for is [`LogRecord::size_bytes`], a calibrated cost
-//! model that does not follow the encoding.
+//! field, decodes as [`DecodeError::Malformed`]. Checkpoint frames keep a
+//! fixed `[len: u32][checksum: u64]` header and encode their cells with
+//! the same value encoder. The byte count the log device is charged for
+//! is [`LogRecord::size_bytes`], a calibrated cost model that does not
+//! follow the encoding.
 
 use sicost_common::{TableId, TxnId};
 use sicost_storage::{Row, Value};
@@ -89,12 +101,12 @@ impl LogRecord {
         32 + self.entries.iter().map(LogEntry::size_bytes).sum::<usize>()
     }
 
-    /// Appends the framed binary encoding of this record to `out`.
+    /// Appends the framed binary encoding of this record to `out`. Writes
+    /// the payload in place behind a reserved header: no intermediate
+    /// buffer.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        // Reserve the header, encode the payload in place behind it, then
-        // fill the header in: no intermediate payload buffer.
         let start = out.len();
-        out.resize(start + FRAME_HEADER, 0);
+        out.resize(start + MAX_FRAME_HEADER, 0);
         put_varint(out, self.lsn.0);
         put_varint(out, self.txn.0);
         put_varint(out, self.entries.len() as u64);
@@ -104,19 +116,22 @@ impl LogRecord {
             match &e.image {
                 None => out.push(0),
                 Some(row) => {
-                    out.push(1);
-                    put_varint(out, row.arity() as u64);
-                    for cell in row.cells() {
-                        encode_value(out, cell);
+                    let cells = row.cells();
+                    let key_at = cells.iter().position(|c| *c == e.key);
+                    out.push(if key_at.is_some() { 2 } else { 1 });
+                    put_varint(out, cells.len() as u64);
+                    if let Some(at) = key_at {
+                        put_varint(out, at as u64);
+                    }
+                    for (i, cell) in cells.iter().enumerate() {
+                        if Some(i) != key_at {
+                            encode_value(out, cell);
+                        }
                     }
                 }
             }
         }
-        let payload = start + FRAME_HEADER;
-        let len = (out.len() - payload) as u32;
-        let checksum = fnv1a(&out[payload..]);
-        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-        out[start + 4..payload].copy_from_slice(&checksum.to_le_bytes());
+        seal_frame(out, start);
     }
 
     /// The framed binary encoding of this record.
@@ -130,19 +145,7 @@ impl LogRecord {
     /// checksum. On success returns the record and the number of bytes
     /// consumed.
     pub fn decode(bytes: &[u8]) -> Result<(LogRecord, usize), DecodeError> {
-        if bytes.len() < FRAME_HEADER {
-            return Err(DecodeError::TruncatedHeader);
-        }
-        let len = get_u32(&bytes[0..4]) as usize;
-        let checksum = get_u64(&bytes[4..12]);
-        let total = FRAME_HEADER + len;
-        if bytes.len() < total {
-            return Err(DecodeError::TruncatedPayload);
-        }
-        let payload = &bytes[FRAME_HEADER..total];
-        if fnv1a(payload) != checksum {
-            return Err(DecodeError::ChecksumMismatch);
-        }
+        let (payload, total) = read_frame(bytes)?;
         let mut cur = Cursor {
             buf: payload,
             pos: 0,
@@ -161,14 +164,27 @@ impl LogRecord {
             let key = decode_value(&mut cur)?;
             let image = match cur.u8()? {
                 0 => None,
-                1 => {
+                tag @ (1 | 2) => {
                     let arity = cur.length()?;
                     if arity > payload.len() {
                         return Err(DecodeError::Malformed("row arity exceeds payload"));
                     }
+                    let key_at = if tag == 2 {
+                        let at = cur.length()?;
+                        if at >= arity {
+                            return Err(DecodeError::Malformed("key cell index exceeds arity"));
+                        }
+                        Some(at)
+                    } else {
+                        None
+                    };
                     let mut cells = Vec::with_capacity(arity);
-                    for _ in 0..arity {
-                        cells.push(decode_value(&mut cur)?);
+                    for i in 0..arity {
+                        cells.push(if Some(i) == key_at {
+                            key.clone()
+                        } else {
+                            decode_value(&mut cur)?
+                        });
                     }
                     Some(Row::new(cells))
                 }
@@ -183,8 +199,67 @@ impl LogRecord {
     }
 }
 
-/// Bytes of the `[len][checksum]` frame header.
-pub const FRAME_HEADER: usize = 12;
+/// The longest log frame header: a five-byte length varint and the
+/// checksum.
+const MAX_FRAME_HEADER: usize = 5 + 8;
+
+/// Appends `payload` to `out` as one log frame,
+/// `[len: varint][fnv1a(payload): u64][payload]`.
+pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    let start = out.len();
+    out.resize(start + MAX_FRAME_HEADER, 0);
+    out.extend_from_slice(payload);
+    seal_frame(out, start);
+}
+
+/// Frames the payload written behind a reserved [`MAX_FRAME_HEADER`] at
+/// `start`: appends the header after the payload, copies it to `start`,
+/// and slides the payload down behind it. No intermediate buffer.
+fn seal_frame(out: &mut Vec<u8>, start: usize) {
+    let body = start + MAX_FRAME_HEADER;
+    let end = out.len();
+    let len = u32::try_from(end - body).expect("a log record payload fits a u32 length");
+    let checksum = fnv1a(&out[body..end]);
+    put_varint(out, u64::from(len));
+    put_u64(out, checksum);
+    let header = out.len() - end;
+    out.copy_within(end.., start);
+    out.copy_within(body..end, start + header);
+    out.truncate(start + header + (end - body));
+}
+
+/// Reads the log frame at the front of `bytes`, verifying its checksum.
+/// Returns the payload and the number of bytes the whole frame takes.
+pub fn read_frame(bytes: &[u8]) -> Result<(&[u8], usize), DecodeError> {
+    let mut len = 0u64;
+    let mut at = 0;
+    loop {
+        let &b = bytes.get(at).ok_or(DecodeError::TruncatedHeader)?;
+        len |= u64::from(b & 0x7f) << (7 * at);
+        at += 1;
+        if b & 0x80 == 0 {
+            break;
+        }
+        if at == 5 {
+            return Err(DecodeError::Malformed(
+                "frame length varint over five bytes",
+            ));
+        }
+    }
+    let len = usize::try_from(len).map_err(|_| DecodeError::Malformed("frame length"))?;
+    let checksum = bytes.get(at..at + 8).ok_or(DecodeError::TruncatedHeader)?;
+    let payload_at = at + 8;
+    let total = payload_at
+        .checked_add(len)
+        .ok_or(DecodeError::Malformed("frame length"))?;
+    let payload = bytes
+        .get(payload_at..total)
+        .ok_or(DecodeError::TruncatedPayload)?;
+    if fnv1a(payload) != get_u64(checksum) {
+        return Err(DecodeError::ChecksumMismatch);
+    }
+    Ok((payload, total))
+}
 
 /// Why a framed record failed to decode. The truncation variants are the
 /// expected signature of a torn tail; `ChecksumMismatch` also covers
@@ -416,7 +491,41 @@ mod tests {
                 txn: TxnId(11),
                 entries: vec![],
             },
+            // The key inside the image: as the first cell, as the last
+            // cell, twice, and as a NULL key that is the only cell.
+            LogRecord {
+                lsn: Lsn(4),
+                txn: TxnId(12),
+                entries: vec![
+                    LogEntry {
+                        table: TableId(1),
+                        key: Value::int(1234),
+                        image: Some(Row::new(vec![Value::int(1234), Value::int(-5)])),
+                    },
+                    LogEntry {
+                        table: TableId(2),
+                        key: Value::str("acct-7"),
+                        image: Some(Row::new(vec![Value::int(7), Value::str("acct-7")])),
+                    },
+                    LogEntry {
+                        table: TableId(0),
+                        key: Value::int(3),
+                        image: Some(Row::new(vec![Value::int(3), Value::int(9), Value::int(3)])),
+                    },
+                    LogEntry {
+                        table: TableId(0),
+                        key: Value::Null,
+                        image: Some(Row::new(vec![Value::Null])),
+                    },
+                ],
+            },
         ]
+    }
+
+    /// Bytes of the frame header in front of an encoded record.
+    fn header_len(frame: &[u8]) -> usize {
+        let (payload, total) = read_frame(frame).unwrap();
+        total - payload.len()
     }
 
     #[test]
@@ -447,33 +556,98 @@ mod tests {
 
     #[test]
     fn every_byte_prefix_is_rejected_not_misread() {
-        let rec = &sample_records()[1];
-        let bytes = rec.encode();
-        for cut in 0..bytes.len() {
-            let err = LogRecord::decode(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    DecodeError::TruncatedHeader | DecodeError::TruncatedPayload
-                ),
-                "prefix of {cut} bytes gave {err:?}"
-            );
+        // The last record's payload is over 127 bytes, so its length
+        // varint takes two bytes and a cut can fall between them.
+        let mut recs = sample_records();
+        recs.push(LogRecord {
+            lsn: Lsn(5),
+            txn: TxnId(13),
+            entries: vec![LogEntry {
+                table: TableId(0),
+                key: Value::int(1),
+                image: Some(Row::new(vec![Value::str("x".repeat(150))])),
+            }],
+        });
+        for rec in &recs {
+            let bytes = rec.encode();
+            let header = header_len(&bytes);
+            for cut in 0..bytes.len() {
+                let err = LogRecord::decode(&bytes[..cut]).unwrap_err();
+                let want = if cut < header {
+                    DecodeError::TruncatedHeader
+                } else {
+                    DecodeError::TruncatedPayload
+                };
+                assert_eq!(err, want, "prefix of {cut} bytes (header {header})");
+            }
         }
+        assert_eq!(header_len(&recs.last().unwrap().encode()), 2 + 8);
     }
 
     #[test]
     fn any_single_flipped_payload_bit_fails_the_checksum() {
-        let rec = &sample_records()[0];
-        let clean = rec.encode();
-        for byte in FRAME_HEADER..clean.len() {
-            let mut dirty = clean.clone();
-            dirty[byte] ^= 0x10;
-            assert_eq!(
-                LogRecord::decode(&dirty).unwrap_err(),
-                DecodeError::ChecksumMismatch,
-                "flip at byte {byte}"
-            );
+        for rec in sample_records() {
+            let clean = rec.encode();
+            for byte in header_len(&clean)..clean.len() {
+                let mut dirty = clean.clone();
+                dirty[byte] ^= 0x10;
+                assert_eq!(
+                    LogRecord::decode(&dirty).unwrap_err(),
+                    DecodeError::ChecksumMismatch,
+                    "flip at byte {byte}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn a_short_payload_takes_a_one_byte_length() {
+        let rec = &sample_records()[0];
+        let bytes = rec.encode();
+        assert_eq!(header_len(&bytes), 1 + 8);
+        let mut framed = Vec::new();
+        put_frame(&mut framed, &bytes[header_len(&bytes)..]);
+        assert_eq!(framed, bytes, "put_frame frames exactly as encode does");
+    }
+
+    #[test]
+    fn an_over_long_length_varint_is_malformed() {
+        let mut bytes = vec![0x80; 5];
+        bytes.extend_from_slice(&[0; 16]);
+        assert!(matches!(
+            read_frame(&bytes).unwrap_err(),
+            DecodeError::Malformed(_)
+        ));
+        // Five bytes is the most a length may take.
+        let mut five = vec![0x80, 0x80, 0x80, 0x80, 0x00];
+        five.extend_from_slice(&fnv1a(b"").to_le_bytes());
+        assert_eq!(read_frame(&five).unwrap(), (&[][..], 13));
+    }
+
+    #[test]
+    fn a_cell_equal_to_the_key_is_written_as_its_index() {
+        let rec = |key: i64| LogRecord {
+            lsn: Lsn(1),
+            txn: TxnId(1),
+            entries: vec![LogEntry {
+                table: TableId(2),
+                key: Value::int(key),
+                image: Some(Row::new(vec![Value::int(1234), Value::int(99)])),
+            }],
+        };
+        // Key 1234 repeats the first cell; key 1235 does not. The cell
+        // `0x01 zigzag(1234)` takes three bytes and its index one.
+        let keyed = rec(1234).encode();
+        let plain = rec(1235).encode();
+        assert_eq!(plain.len() - keyed.len(), 2);
+        assert_eq!(LogRecord::decode(&keyed).unwrap().0, rec(1234));
+        // An index past the row's arity is malformed, not a panic.
+        let mut bad = Vec::new();
+        put_frame(&mut bad, &[1, 1, 1, 0, 0x01, 0x02, 2, 1, 1]);
+        assert_eq!(
+            LogRecord::decode(&bad).unwrap_err(),
+            DecodeError::Malformed("key cell index exceeds arity")
+        );
     }
 
     #[test]

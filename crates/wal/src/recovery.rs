@@ -284,8 +284,10 @@ mod tests {
         let b = rec(1, 2, 2, Some(20));
         let c = rec(2, 3, 3, Some(30));
         let mut bytes = a.encode();
-        let corrupt_at = bytes.len() + crate::record::FRAME_HEADER;
-        b.encode_into(&mut bytes);
+        let b_frame = b.encode();
+        let (b_payload, b_len) = crate::record::read_frame(&b_frame).unwrap();
+        let corrupt_at = bytes.len() + (b_len - b_payload.len());
+        bytes.extend_from_slice(&b_frame);
         c.encode_into(&mut bytes);
         bytes[corrupt_at] ^= 0xff; // flip a payload byte of b
         let scan = scan_log(&bytes);

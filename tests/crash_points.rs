@@ -234,7 +234,7 @@ fn a_corrupt_byte_mid_log_hides_everything_after_it() {
     assert!(put(&db, 2, 20).is_ok());
     assert!(put(&db, 3, 30).is_ok());
     let mut disk = db.disk_snapshot();
-    // Flip a byte inside the *second* record's frame.
+    // Flip the first payload byte of the *second* record.
     let first_len = {
         let scan = sicost::wal::scan_log(&disk);
         assert_eq!(scan.records.len(), 3);
@@ -242,7 +242,11 @@ fn a_corrupt_byte_mid_log_hides_everything_after_it() {
         scan.records[0].encode_into(&mut one);
         one.len()
     };
-    disk[first_len + sicost::wal::FRAME_HEADER] ^= 0xff;
+    let header = {
+        let (payload, second_len) = sicost::wal::read_frame(&disk[first_len..]).unwrap();
+        second_len - payload.len()
+    };
+    disk[first_len + header] ^= 0xff;
 
     let mut fresh = Catalog::new();
     for t in db.catalog().tables() {

@@ -163,15 +163,22 @@ fn random_record(rng: &mut Xoshiro256) -> LogRecord {
         rng.next_below(5)
     };
     let entries = (0..n)
-        .map(|_| LogEntry {
-            table: random_table(rng),
-            key: random_value(rng),
-            image: if rng.next_bool(0.3) {
+        .map(|_| {
+            let table = random_table(rng);
+            let key = random_value(rng);
+            let image = if rng.next_bool(0.3) {
                 None
             } else {
                 let arity = rng.next_below(4) as usize;
-                Some(Row::new((0..arity).map(|_| random_value(rng)).collect()))
-            },
+                let mut cells: Vec<Value> = (0..arity).map(|_| random_value(rng)).collect();
+                // Half the images repeat the key in some cell, as rows
+                // that carry their primary key do.
+                if arity > 0 && rng.next_bool(0.5) {
+                    cells[rng.next_below(arity as u64) as usize] = key.clone();
+                }
+                Some(Row::new(cells))
+            };
+            LogEntry { table, key, image }
         })
         .collect();
     LogRecord {
@@ -194,11 +201,10 @@ fn wal_record_encoding_round_trips() {
     }
 }
 
-/// Frames `payload` the way the log does: `[len][fnv1a][payload]`.
+/// Frames `payload` the way the log does.
 fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
-    out.extend_from_slice(&sicost::wal::record::fnv1a(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    let mut out = Vec::new();
+    sicost::wal::put_frame(&mut out, payload);
     out
 }
 
