@@ -15,6 +15,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Debug;
 use std::hash::Hash;
+use std::rc::Rc;
 
 /// A named predicate that must hold in every reachable state.
 pub struct Invariant<S> {
@@ -95,13 +96,14 @@ pub struct CheckReport<M: Model> {
 
 /// Exhaustive breadth-first exploration of `model`, visiting at most
 /// `max_states` unique states (a budget backstop; the small commit-
-/// protocol models stay well under it).
+/// protocol models stay well under it). Each state is held once, shared
+/// by the arena and the seen-set.
 pub fn check_bfs<M: Model>(model: &M, max_states: u64) -> CheckReport<M> {
     let invariants = model.invariants();
-    let mut arena: Vec<M::State> = Vec::new();
+    let mut arena: Vec<Rc<M::State>> = Vec::new();
     let mut parent: Vec<Option<(usize, M::Action)>> = Vec::new();
     let mut depth: Vec<usize> = Vec::new();
-    let mut seen: HashMap<M::State, usize> = HashMap::new();
+    let mut seen: HashMap<Rc<M::State>, usize> = HashMap::new();
     let mut queue: VecDeque<usize> = VecDeque::new();
 
     let mut report = CheckReport {
@@ -113,7 +115,7 @@ pub fn check_bfs<M: Model>(model: &M, max_states: u64) -> CheckReport<M> {
         violation: None,
     };
 
-    let rebuild = |arena: &Vec<M::State>,
+    let rebuild = |arena: &Vec<Rc<M::State>>,
                    parent: &Vec<Option<(usize, M::Action)>>,
                    mut id: usize,
                    invariant: &'static str| {
@@ -121,11 +123,11 @@ pub fn check_bfs<M: Model>(model: &M, max_states: u64) -> CheckReport<M> {
         loop {
             match &parent[id] {
                 Some((p, a)) => {
-                    trace.push((Some(a.clone()), arena[id].clone()));
+                    trace.push((Some(a.clone()), M::State::clone(&arena[id])));
                     id = *p;
                 }
                 None => {
-                    trace.push((None, arena[id].clone()));
+                    trace.push((None, M::State::clone(&arena[id])));
                     break;
                 }
             }
@@ -136,10 +138,10 @@ pub fn check_bfs<M: Model>(model: &M, max_states: u64) -> CheckReport<M> {
 
     let admit = |state: M::State,
                  from: Option<(usize, M::Action)>,
-                 arena: &mut Vec<M::State>,
+                 arena: &mut Vec<Rc<M::State>>,
                  parent: &mut Vec<Option<(usize, M::Action)>>,
                  depth: &mut Vec<usize>,
-                 seen: &mut HashMap<M::State, usize>,
+                 seen: &mut HashMap<Rc<M::State>, usize>,
                  queue: &mut VecDeque<usize>,
                  report: &mut CheckReport<M>|
      -> Option<usize> {
@@ -149,7 +151,8 @@ pub fn check_bfs<M: Model>(model: &M, max_states: u64) -> CheckReport<M> {
         }
         let id = arena.len();
         let d = from.as_ref().map(|(p, _)| depth[*p] + 1).unwrap_or(0);
-        arena.push(state.clone());
+        let state = Rc::new(state);
+        arena.push(Rc::clone(&state));
         parent.push(from);
         depth.push(d);
         seen.insert(state, id);
@@ -186,7 +189,7 @@ pub fn check_bfs<M: Model>(model: &M, max_states: u64) -> CheckReport<M> {
             break;
         }
         actions.clear();
-        let state = arena[id].clone();
+        let state = Rc::clone(&arena[id]);
         model.actions(&state, &mut actions);
         for action in actions.drain(..) {
             let Some(next) = model.next_state(&state, &action) else {

@@ -1,7 +1,7 @@
 //! Small-model extraction of the engine's SSI/FCW commit protocol.
 //!
 //! The transition system mirrors `sicost_engine::ssi` (SIREAD marks,
-//! rw-antidependency flags, the dangerous-structure "pivot" rule) layered
+//! rw-antidependency neighbours, the commit-ordering "pivot" rule) layered
 //! over deferred first-committer-wins write validation (the
 //! `CcMode::SiFirstCommitterWins` commit-time check in
 //! `sicost_engine::txn`). Abstractions versus the real engine, chosen so
@@ -11,8 +11,12 @@
 //!   validation→install window with commit *announcements*
 //!   (`SsiManager::pre_commit`); with an atomic commit the window is
 //!   empty, so announcements are unnecessary and the `committing` state
-//!   collapses away. The window itself is exercised by the DST torture
-//!   harness (`tests/sim_torture.rs`), not the model.
+//!   collapses away, and with it the engine's rule that a committing
+//!   writer counts as having committed first. The window itself is
+//!   exercised by the DST torture harness (`tests/sim_torture.rs`) and
+//!   the engine's own unit tests, not the model.
+//! * **No GC**: committed records are never reclaimed, so the engine's
+//!   rule that a reclaimed neighbour counts as dangerous never applies.
 //! * **No read-your-own-write**: a transaction never reads a key after
 //!   writing it (the engine answers those from the write set without
 //!   touching SSI state, so they are protocol-irrelevant).
@@ -20,8 +24,10 @@
 //!   write time (FUW). Both enforce the same reachable commit outcomes
 //!   under atomic commits; the SSI layer is identical in either mode.
 //!
-//! The `mark_rw` / `concurrent_with` / pivot logic below is a direct port
-//! of the identically named functions in `crates/engine/src/ssi.rs`, and
+//! The `mark_rw` / `concurrent_with` / `committed_at` / `committed_first`
+//! / `dangerous` logic below is a direct port of the identically named
+//! functions in `crates/engine/src/ssi.rs` (neighbour lists become
+//! bitmasks over transaction ids), and
 //! `crates/sim/tests/ssi_crosscheck.rs` replays random action sequences
 //! against the real `SsiManager` to keep the port honest.
 //!
@@ -58,7 +64,9 @@ pub enum Phase {
 }
 
 /// Per-transaction model state: the fields of `SsiTxn` that survive the
-/// atomic-commit abstraction, plus the read/write sets.
+/// atomic-commit abstraction, plus the read/write sets. Like the engine's
+/// record, an uncommitted transaction keeps its rw neighbours and a
+/// committed one only `first_out`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TxnState {
     /// Lifecycle phase.
@@ -69,10 +77,14 @@ pub struct TxnState {
     pub reads: Vec<(u8, u8)>,
     /// Keys written, in write order.
     pub writes: Vec<u8>,
-    /// Has an incoming rw-antidependency (someone read under it).
-    pub in_conflict: bool,
-    /// Has an outgoing rw-antidependency (read under someone).
-    pub out_conflict: bool,
+    /// In-neighbours while uncommitted: bit `i` set for `i ──rw──▶ self`
+    /// (`i` read a key this transaction writes).
+    pub ins: u8,
+    /// Out-neighbours while uncommitted: bit `i` set for `self ──rw──▶ i`.
+    pub outs: u8,
+    /// Once committed: the earliest commit timestamp among the
+    /// out-neighbours that committed before it.
+    pub first_out: Option<u8>,
     /// Doomed by a concurrent pivot detection; must abort.
     pub doomed: bool,
 }
@@ -110,12 +122,13 @@ pub enum Action {
 /// SSI dangerous-structure rule on or off.
 #[derive(Debug, Clone, Copy)]
 pub struct SsiFcwModel {
-    /// Number of transactions (state space is exponential in this).
+    /// Number of transactions (state space is exponential in this; at
+    /// most 8, since neighbour sets are `u8` bitmasks).
     pub txns: usize,
     /// Number of keys.
     pub keys: usize,
-    /// `true`: full SSI (pivot rule); `false`: plain SI + FCW, which must
-    /// exhibit write skew.
+    /// `true`: full SSI (commit-ordering pivot rule); `false`: plain SI +
+    /// FCW, which must exhibit write skew.
     pub ssi_enabled: bool,
 }
 
@@ -140,6 +153,15 @@ fn abortable(t: &TxnState) -> bool {
     matches!(t.phase, Phase::Active)
 }
 
+/// The commit time of a transaction that has not committed: later than
+/// any real one.
+const NEVER: u8 = u8::MAX;
+
+/// The transaction ids set in a neighbour bitmask.
+fn ids(mask: u8) -> impl Iterator<Item = usize> {
+    (0..8).filter(move |i| mask >> i & 1 == 1)
+}
+
 /// Port of `sicost_engine::ssi::concurrent_with`: committed transactions
 /// stay concurrent with anything that started at or before their commit
 /// (inclusive tie — conservative); absent transactions are long gone.
@@ -151,24 +173,62 @@ fn concurrent_with(txns: &[TxnState], other: usize, start: u8) -> bool {
     }
 }
 
+fn committed(t: &TxnState) -> bool {
+    matches!(t.phase, Phase::Committed(_))
+}
+
+/// Port of `sicost_engine::ssi::committed_at`: when an in-neighbour
+/// committed, [`NEVER`] while it has not.
+fn committed_at(txns: &[TxnState], id: usize) -> u8 {
+    match txns[id].phase {
+        Phase::Committed(c) => c,
+        _ => NEVER,
+    }
+}
+
+/// Port of `sicost_engine::ssi::committed_first`: when an out-neighbour of
+/// an uncommitted transaction committed, `None` while it is live.
+fn committed_first(txns: &[TxnState], id: usize) -> Option<u8> {
+    match txns[id].phase {
+        Phase::Committed(c) => Some(c),
+        _ => None,
+    }
+}
+
+/// Port of `sicost_engine::ssi::dangerous`: did some out-neighbour of the
+/// uncommitted `t` commit first, before some in-neighbour had committed?
+fn dangerous(txns: &[TxnState], t: &TxnState) -> bool {
+    let Some(first) = ids(t.outs).filter_map(|o| committed_first(txns, o)).min() else {
+        return false;
+    };
+    ids(t.ins).any(|i| committed_at(txns, i) >= first)
+}
+
 /// Port of `sicost_engine::ssi::mark_rw`: records the rw-antidependency
-/// `reader → writer` and applies the pivot rule. `Err(())` means `me`
+/// `reader → writer` and judges both ends as pivots. `Err(())` means `me`
 /// must abort now.
 fn mark_rw(txns: &mut [TxnState], reader: usize, writer: usize, me: usize) -> Result<(), ()> {
-    if reader == writer {
+    if reader == writer || !present(&txns[reader]) || !present(&txns[writer]) {
         return Ok(());
     }
-    if present(&txns[reader]) {
-        txns[reader].out_conflict = true;
+    if !committed(&txns[reader]) {
+        txns[reader].outs |= 1 << writer;
     }
-    if present(&txns[writer]) {
-        txns[writer].in_conflict = true;
+    if !committed(&txns[writer]) {
+        txns[writer].ins |= 1 << reader;
     }
     for t in [reader, writer] {
-        if !present(&txns[t]) {
-            continue;
-        }
-        if txns[t].in_conflict && txns[t].out_conflict {
+        let danger = if committed(&txns[t]) {
+            // A committed transaction's out-neighbours were settled when it
+            // committed; only a new in-edge can make it a pivot now.
+            t == writer
+                && txns[t]
+                    .first_out
+                    .is_some_and(|f| committed_at(txns, reader) >= f)
+        } else {
+            dangerous(txns, &txns[t])
+        };
+        if danger {
             if t == me {
                 return Err(());
             }
@@ -183,12 +243,18 @@ fn mark_rw(txns: &mut [TxnState], reader: usize, writer: usize, me: usize) -> Re
 }
 
 /// Abort cleanup, mirroring `SsiManager::on_abort`: the transaction's
-/// SIREAD marks disappear and it stops being `present`.
+/// SIREAD marks and rw edges disappear and it stops being `present`.
 fn abort(state: &mut State, t: usize) {
     state.txns[t].phase = Phase::Aborted;
     for marks in state.siread.iter_mut() {
         marks.retain(|&r| r as usize != t);
     }
+    for other in state.txns.iter_mut() {
+        other.ins &= !(1 << t);
+        other.outs &= !(1 << t);
+    }
+    state.txns[t].ins = 0;
+    state.txns[t].outs = 0;
 }
 
 impl State {
@@ -234,8 +300,9 @@ impl Model for SsiFcwModel {
                     snapshot: 0,
                     reads: Vec::new(),
                     writes: Vec::new(),
-                    in_conflict: false,
-                    out_conflict: false,
+                    ins: 0,
+                    outs: 0,
+                    first_out: None,
                     doomed: false,
                 };
                 self.txns
@@ -282,7 +349,7 @@ impl Model for SsiFcwModel {
                 // read, fail if doomed, then mark rw edges against the
                 // writers of committed versions newer than the observed
                 // one. (No announcements: commits are atomic here.)
-                if !n.siread[k].contains(&(t as u8)) {
+                if n.siread[k].last() != Some(&(t as u8)) {
                     n.siread[k].push(t as u8);
                 }
                 n.txns[t].reads.push((k as u8, observed));
@@ -347,12 +414,14 @@ impl Model for SsiFcwModel {
                     return Some(n);
                 }
                 if self.ssi_enabled {
-                    // 2. SsiManager::pre_commit: pre-check the pivot
-                    //    flags, re-mark reader edges for the write set,
-                    //    re-check. (Sorted/deduped readers — the engine
-                    //    sorts by TxnId, which is registration order.)
+                    // 2. SsiManager::pre_commit: pre-check the pivot rule,
+                    //    re-mark reader edges for the write set, re-check,
+                    //    then doom every pivot `p ──rw──▶ t` that still has
+                    //    an uncommitted in-neighbour. (Sorted/deduped
+                    //    readers — the engine sorts by TxnId, which is
+                    //    registration order.)
                     let me = &n.txns[t];
-                    if me.doomed || (me.in_conflict && me.out_conflict) {
+                    if me.doomed || dangerous(&n.txns, me) {
                         abort(&mut n, t);
                         return Some(n);
                     }
@@ -376,23 +445,42 @@ impl Model for SsiFcwModel {
                         }
                     }
                     let me = &n.txns[t];
-                    if me.doomed || (me.in_conflict && me.out_conflict) {
+                    if me.doomed || dangerous(&n.txns, me) {
                         abort(&mut n, t);
                         return Some(n);
+                    }
+                    // Every uncommitted pivot is abortable here (no
+                    // committing window), so none forces t to abort.
+                    let pivots: Vec<usize> = ids(me.ins)
+                        .filter(|&p| {
+                            !committed(&n.txns[p])
+                                && ids(n.txns[p].ins).any(|i| committed_at(&n.txns, i) == NEVER)
+                        })
+                        .collect();
+                    for p in pivots {
+                        n.txns[p].doomed = true;
                     }
                 }
                 // 3. Atomic install. Read-only transactions commit at
                 //    their snapshot (as the engine does).
-                if n.txns[t].writes.is_empty() {
-                    n.txns[t].phase = Phase::Committed(snapshot);
+                let cts = if n.txns[t].writes.is_empty() {
+                    snapshot
                 } else {
                     n.clock += 1;
-                    let cts = n.clock;
                     for k in n.txns[t].writes.clone() {
-                        n.versions[k as usize].push((cts, t as u8));
+                        n.versions[k as usize].push((n.clock, t as u8));
                     }
-                    n.txns[t].phase = Phase::Committed(cts);
-                }
+                    n.clock
+                };
+                // 4. SsiManager::finish_commit: the neighbours give way to
+                //    their summary.
+                n.txns[t].first_out = ids(n.txns[t].outs)
+                    .filter_map(|o| committed_first(&n.txns, o))
+                    .filter(|&c| c < cts)
+                    .min();
+                n.txns[t].ins = 0;
+                n.txns[t].outs = 0;
+                n.txns[t].phase = Phase::Committed(cts);
             }
         }
         Some(n)
@@ -634,9 +722,9 @@ mod tests {
     #[test]
     fn ssi_never_commits_both_sides_of_a_write_skew() {
         // T0: r(k0) w(k1); T1: r(k1) w(k0). With both writes before
-        // either commit, T1's write makes T0 the pivot (dooming it) and
-        // errors T1 itself — the conservative rule may abort both sides,
-        // but it must never commit both.
+        // either commit, each is the other's in- and out-neighbour, and
+        // neither is in danger until one commits: T0's commit dooms T1,
+        // the pivot whose out-neighbour committed first.
         let model = SsiFcwModel {
             txns: 2,
             keys: 2,
@@ -652,18 +740,20 @@ mod tests {
         let s = model.next_state(&s, &Action::Commit(0)).unwrap();
         let s = model.next_state(&s, &Action::Commit(1)).unwrap();
         let (committed, aborted) = outcome_counts(&s);
-        assert!(
-            committed <= 1 && aborted >= 1,
-            "SSI let a write-skew pair through: {s:?}"
+        assert_eq!(
+            (committed, aborted),
+            (1, 1),
+            "SSI must commit exactly the first committer: {s:?}"
         );
         assert!(inv_serializable(&s));
     }
 
     #[test]
     fn ssi_aborts_the_straggler_when_the_pivot_committed_first() {
-        // Same skew, but T0 commits before T1 writes: T0 is then a
-        // committed pivot and unabortable, so T1's write must fail —
-        // exactly one commit, one abort.
+        // Same skew, but T0 commits before T1 writes: T1's write makes it
+        // a pivot whose out-neighbour T0 committed first, and T0 is also
+        // its (committed, so unabortable) in-neighbour — so T1's write
+        // must fail: exactly one commit, one abort.
         let model = SsiFcwModel {
             txns: 2,
             keys: 2,
@@ -684,5 +774,42 @@ mod tests {
             "the straggler must die at its write: {s:?}"
         );
         assert!(inv_serializable(&s));
+    }
+
+    /// Terminal states (no action enabled) of the reachable space in which
+    /// every transaction aborted.
+    fn all_aborted_terminal_states(model: &SsiFcwModel) -> usize {
+        let mut seen = std::collections::HashSet::new();
+        let mut stack = model.init_states();
+        let mut actions = Vec::new();
+        let mut count = 0;
+        while let Some(s) = stack.pop() {
+            if !seen.insert(s.clone()) {
+                continue;
+            }
+            actions.clear();
+            model.actions(&s, &mut actions);
+            if actions.is_empty() && s.txns.iter().all(|t| t.phase == Phase::Aborted) {
+                count += 1;
+            }
+            stack.extend(actions.iter().filter_map(|a| model.next_state(&s, a)));
+        }
+        count
+    }
+
+    #[test]
+    fn commit_ordering_never_aborts_both_of_two_transactions() {
+        // The eager rule, which aborted any transaction holding both an
+        // in- and an out-edge whatever the commit order, ended 560
+        // terminal states of this space with both transactions aborted:
+        // a write skew could doom one side and abort the other before
+        // either committed. Under the commit-ordering rule nothing aborts
+        // before the first commit, so the first committer survives.
+        let model = SsiFcwModel {
+            txns: 2,
+            keys: 2,
+            ssi_enabled: true,
+        };
+        assert_eq!(all_aborted_terminal_states(&model), 0);
     }
 }
