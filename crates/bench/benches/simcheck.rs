@@ -61,7 +61,7 @@ fn dst_schedule(seed: u64) -> (u64, u64) {
 
 fn main() {
     let mode = BenchMode::from_env();
-    // The 3×2 space is ~3·10⁶ states — exhaustive in every mode; smoke
+    // The 3×2 space is ~2.5·10⁶ states — exhaustive in every mode; smoke
     // trims only the DST sweep width.
     let (txns, keys, dst_seeds) = match mode {
         BenchMode::Smoke => (3, 2, 4u64),

@@ -14,7 +14,11 @@
 //! * `workloads` — for each workload, `pairs` (how many alternating
 //!   parent/change runs the medians cover) and the medians of
 //!   `goodput_tps`, `latency_p50_us`, `latency_p99_us`, `abort_pct`,
-//!   `setup_s` and `peak_rss_mb` (`null` where a source gave no number).
+//!   `setup_s` and `peak_rss_mb` (`null` where a source gave no number);
+//!   a change row adds `ratio`, each of those medians divided by the
+//!   parent row's, rounded to four decimals (`null` where either median
+//!   is). Host speed drifts between sessions, so only ratios compare
+//!   across pairs.
 
 use sicost_common::json::Json;
 use std::collections::BTreeMap;
@@ -57,19 +61,32 @@ fn number_or_null(v: Option<&Json>) -> bool {
     matches!(v, Some(Json::Num(_) | Json::Null))
 }
 
+fn workloads(row: &Json) -> BTreeMap<&str, &Json> {
+    row.get("workloads")
+        .and_then(Json::as_map)
+        .expect("every row has a `workloads` object")
+}
+
+/// The trajectory's rows, each with its line number for messages.
+fn rows() -> Vec<(String, Json)> {
+    repo_file("bench_results/perf_trajectory.jsonl")
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty())
+        .map(|(i, line)| {
+            let at = format!("perf_trajectory.jsonl line {}", i + 1);
+            let row = Json::parse(line).unwrap_or_else(|e| panic!("{at}: {e:?}"));
+            (at, row)
+        })
+        .collect()
+}
+
 #[test]
 fn every_row_parses_and_names_every_workload() {
     let workloads = declared_workloads();
     assert_eq!(workloads.len(), 4, "BENCHMARK.json declares four workloads");
-    let text = repo_file("bench_results/perf_trajectory.jsonl");
     let mut sides: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for (i, line) in text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-    {
-        let at = format!("perf_trajectory.jsonl line {}", i + 1);
-        let row = Json::parse(line).unwrap_or_else(|e| panic!("{at}: {e:?}"));
+    for (at, row) in rows() {
         let field = |k: &str| {
             row.get(k)
                 .and_then(Json::as_str)
@@ -114,5 +131,52 @@ fn every_row_parses_and_names_every_workload() {
             ["change", "parent"],
             "{change}: one parent row and one change row"
         );
+    }
+}
+
+#[test]
+fn change_rows_store_their_ratio_to_the_parent() {
+    let mut pairs: BTreeMap<String, BTreeMap<String, (String, Json)>> = BTreeMap::new();
+    for (at, row) in rows() {
+        let field = |k: &str| row.get(k).and_then(Json::as_str).map(str::to_string);
+        let (Some(change), Some(side)) = (field("change"), field("side")) else {
+            panic!("{at}: missing `change` or `side`");
+        };
+        pairs.entry(change).or_default().insert(side, (at, row));
+    }
+    for (change, sides) in pairs {
+        let (Some((_, parent)), Some((at, row))) = (sides.get("parent"), sides.get("change"))
+        else {
+            panic!("{change}: one parent row and one change row");
+        };
+        let (parent, row) = (workloads(parent), workloads(row));
+        for (w, m) in &row {
+            let base = parent[w];
+            assert!(
+                base.get("ratio").is_none(),
+                "{change}: parent {w} has a ratio"
+            );
+            let ratio = m
+                .get("ratio")
+                .unwrap_or_else(|| panic!("{at}: {w} has no `ratio`"));
+            for metric in &METRICS[1..] {
+                let median = |r: &Json| r.get(metric).and_then(Json::as_f64);
+                let stored = ratio.get(metric).and_then(Json::as_f64);
+                match (median(m), median(base)) {
+                    (Some(c), Some(p)) if p != 0.0 => {
+                        let stored = stored.unwrap_or_else(|| panic!("{at}: {w}.ratio.{metric}"));
+                        assert!(
+                            (stored - c / p).abs() <= 5e-5 + 1e-12,
+                            "{at}: {w}.ratio.{metric} is {stored}, the medians give {}",
+                            c / p
+                        );
+                    }
+                    _ => assert!(
+                        matches!(ratio.get(metric), Some(Json::Null)),
+                        "{at}: {w}.ratio.{metric} must be null without both medians"
+                    ),
+                }
+            }
+        }
     }
 }

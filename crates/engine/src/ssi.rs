@@ -35,9 +35,18 @@
 //! transaction has become a pivot that the reader must die for.
 //!
 //! Mechanics mirrored from the SSI paper:
-//! * readers leave **SIREAD** marks on the keys they read; marks outlive
-//!   commit and are garbage-collected only when no concurrent transaction
-//!   remains;
+//! * readers leave **SIREAD** marks on the keys they read; a committed
+//!   reader's marks outlive its commit until GC finds no transaction
+//!   concurrent with it, and then one sweep of the partitions drops them
+//!   (its record keeps no list of them: read keys serve only abort
+//!   cleanup);
+//! * a write to a row drops the writer's own marks on that row, as
+//!   PostgreSQL does: a concurrent writer of the row conflicts with it
+//!   ww, and two concurrent writers of one key never both commit (first
+//!   updater wins here, first committer wins in the model), so the rw
+//!   edge the mark would raise can lie on no committed cycle. The
+//!   relation mark a scan leaves stays, since it guards rows the writer
+//!   did not write;
 //! * a writer marks `reader ──rw──▶ writer` edges against every concurrent
 //!   SIREAD holder, both at write time and again at commit;
 //! * a reader that observes a version older than the newest committed one
@@ -73,7 +82,7 @@ use crate::metrics::LockClasses;
 use sicost_common::sync::{stripe_of, InstrumentedMutex};
 use sicost_common::{LockStats, TableId, Ts, TxnId};
 use sicost_storage::Value;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Key granularity at which SIREAD marks are kept.
@@ -98,14 +107,13 @@ struct SsiTxn {
     /// Past validation: its commit is inevitable; never doom it.
     committing: bool,
     doomed: bool,
-    /// While uncommitted: allocated at its first edge or announcement and
-    /// dropped at commit, so that a committed record, which lives until
-    /// GC, carries no per-edge state.
+    /// While uncommitted: allocated at its first read, edge or
+    /// announcement and dropped at commit, so that a committed record,
+    /// which lives until GC, carries no per-edge or per-key state.
     pending: Option<Box<Pending>>,
     /// Once committed: the earliest commit among the out-neighbours that
     /// committed before it.
     first_out: Option<Ts>,
-    read_keys: Vec<ReadKey>,
 }
 
 /// What only an uncommitted transaction needs.
@@ -117,6 +125,9 @@ struct Pending {
     outs: Vec<TxnId>,
     /// The write set announced at validation.
     announced_keys: Vec<ReadKey>,
+    /// The keys it marked, for abort cleanup: a committed reader's marks
+    /// are swept by [`SsiManager::gc`] without them.
+    read_keys: Vec<ReadKey>,
 }
 
 impl SsiTxn {
@@ -307,7 +318,6 @@ impl SsiManager {
                 doomed: false,
                 pending: None,
                 first_out: None,
-                read_keys: Vec::new(),
             },
         );
     }
@@ -356,7 +366,9 @@ impl SsiManager {
         if let Some(t) = txns.get_mut(&txn) {
             // Record the key first so an abort cleans the mark up even on
             // the error paths below.
-            t.read_keys.push(key);
+            if let Some(p) = t.pending_mut() {
+                p.read_keys.push(key);
+            }
             if t.doomed {
                 return Err(pivot_abort());
             }
@@ -383,15 +395,32 @@ impl SsiManager {
 
     /// Records a write: marks `reader → txn` antidependencies against every
     /// concurrent SIREAD holder of the key.
+    ///
+    /// A write to a row supersedes the writer's own marks on it, dropped in
+    /// the same partition critical section that collects the other readers
+    /// (PostgreSQL's `CheckTargetForConflictsIn`). Any concurrent writer of
+    /// the row conflicts with this one ww, and two concurrent writers of a
+    /// key never both commit, so the `txn ──rw──▶ other` edge the mark would
+    /// raise can lie on no committed cycle. The relation mark a scan leaves
+    /// stays: it guards rows this write does not touch.
     pub fn on_write(&self, txn: TxnId, key: &ReadKey) -> Result<(), TxnError> {
-        let readers: Vec<TxnId> = {
-            let shard = self.shard(key).lock();
-            shard
-                .readers
-                .get(key)
-                .map(|v| v.iter().copied().filter(|r| *r != txn).collect())
-                .unwrap_or_default()
-        };
+        let supersedes = !key.1.is_null();
+        let mut readers = Vec::new();
+        {
+            let mut shard = self.shard(key).lock();
+            if let Some(marks) = shard.readers.get_mut(key) {
+                marks.retain(|&r| {
+                    if r == txn {
+                        return !supersedes;
+                    }
+                    readers.push(r);
+                    true
+                });
+                if marks.is_empty() {
+                    shard.readers.remove(key);
+                }
+            }
+        }
         let mut txns = self.txns.lock();
         let my_start = match txns.get(&txn) {
             Some(t) if t.doomed => return Err(pivot_abort()),
@@ -494,9 +523,11 @@ impl SsiManager {
 
     /// Marks the transaction committed, summarises its out-neighbours as
     /// the earliest commit among those that committed before it, and
-    /// retracts its announcements (SIREAD marks survive until GC).
+    /// retracts its announcements (SIREAD marks survive until GC). The
+    /// uncommitted state, read keys included, is freed after the
+    /// transaction-map lock is released.
     pub fn finish_commit(&self, txn: TxnId, commit_ts: Ts) {
-        let announced = {
+        let pending = {
             let mut txns = self.txns.lock();
             let first_out = txns
                 .get(&txn)
@@ -513,15 +544,14 @@ impl SsiManager {
                     t.commit_ts = Some(commit_ts);
                     t.committing = false;
                     t.first_out = first_out;
-                    t.pending
-                        .take()
-                        .map(|p| p.announced_keys)
-                        .unwrap_or_default()
+                    t.pending.take()
                 }
-                None => Vec::new(),
+                None => None,
             }
         };
-        self.unannounce(txn, &announced);
+        if let Some(p) = pending {
+            self.unannounce(txn, &p.announced_keys);
+        }
     }
 
     /// Drops all trace of an aborted transaction, including its edges in
@@ -543,11 +573,9 @@ impl SsiManager {
             }
             removed
         };
-        if let Some(t) = removed {
-            self.unregister_reads(txn, &t.read_keys);
-            if let Some(p) = t.pending {
-                self.unannounce(txn, &p.announced_keys);
-            }
+        if let Some(p) = removed.and_then(|t| t.pending) {
+            self.unregister_reads(txn, &p.read_keys);
+            self.unannounce(txn, &p.announced_keys);
         }
     }
 
@@ -555,46 +583,27 @@ impl SsiManager {
     /// anything active (commit timestamp at or before the oldest active
     /// snapshot). Returns the number of transaction records reclaimed.
     ///
-    /// Each key any dead reader marked is visited once, and one `retain`
-    /// drops every dead reader of it: the pass costs one walk of each
-    /// touched key's marks, not one per (reader, key) pair. Only the read
-    /// keys of a record are kept past its removal: a committed transaction
-    /// has already retracted its announcements.
+    /// A committed record keeps no read keys, so the dead readers' marks
+    /// are dropped by one `retain` sweep over each partition, in partition
+    /// order (a pure function of the data, as deterministic simulation
+    /// needs): one walk of every mark, each shard lock taken once.
     pub fn gc(&self, min_active_start: Ts) -> usize {
-        let dead: Vec<(TxnId, Vec<ReadKey>)> = {
-            let mut txns = self.txns.lock();
-            let ids: Vec<TxnId> = txns
-                .iter()
-                .filter(|(_, t)| t.commit_ts.map(|c| c <= min_active_start).unwrap_or(false))
-                .map(|(id, _)| *id)
-                .collect();
-            ids.into_iter()
-                .filter_map(|id| txns.remove(&id).map(|t| (id, t.read_keys)))
-                .collect()
-        };
-        let ids: HashSet<TxnId> = dead.iter().map(|(id, _)| *id).collect();
-        // Group the touched keys by partition so each shard lock is taken
-        // once per pass, in partition order (a pure function of the data,
-        // as deterministic simulation needs).
-        let mut by_shard: BTreeMap<usize, HashSet<&ReadKey>> = BTreeMap::new();
-        for (_, keys) in &dead {
-            for key in keys {
-                by_shard
-                    .entry(stripe_of(key, self.shards.len()))
-                    .or_default()
-                    .insert(key);
+        let mut dead = HashSet::new();
+        self.txns.lock().retain(|&id, t| {
+            let reclaim = t.commit_ts.is_some_and(|c| c <= min_active_start);
+            if reclaim {
+                dead.insert(id);
             }
+            !reclaim
+        });
+        if dead.is_empty() {
+            return 0;
         }
-        for (shard, keys) in by_shard {
-            let readers = &mut self.shards[shard].lock().readers;
-            for key in keys {
-                if let Some(marks) = readers.get_mut(key) {
-                    marks.retain(|t| !ids.contains(t));
-                    if marks.is_empty() {
-                        readers.remove(key);
-                    }
-                }
-            }
+        for shard in &self.shards {
+            shard.lock().readers.retain(|_, marks| {
+                marks.retain(|t| !dead.contains(t));
+                !marks.is_empty()
+            });
         }
         dead.len()
     }
@@ -647,6 +656,17 @@ impl SsiManager {
             .pending
             .as_deref()
             .map(|n| (n.ins.clone(), n.outs.clone()))
+            .unwrap_or_default()
+    }
+
+    /// (tests) The SIREAD marks on `key`, in mark order.
+    #[cfg(test)]
+    fn marks(&self, key: &ReadKey) -> Vec<TxnId> {
+        self.shard(key)
+            .lock()
+            .readers
+            .get(key)
+            .cloned()
             .unwrap_or_default()
     }
 }
@@ -933,6 +953,61 @@ mod tests {
         assert_eq!(ssi.siread_entries(), 3);
         ssi.on_abort(T1);
         assert_eq!(ssi.siread_entries(), 1);
+    }
+
+    /// A write drops the writer's marks on the row it writes, a re-read's
+    /// duplicate too, and only those: another reader's mark on the row
+    /// and the writer's relation mark from a scan stay.
+    #[test]
+    fn a_write_supersedes_only_the_writers_own_row_mark() {
+        let ssi = SsiManager::new();
+        let relation = table_read_key(TableId(0));
+        ssi.begin(T1, Ts(10));
+        ssi.begin(T2, Ts(10));
+        ssi.on_read(T1, relation.clone(), &[]).unwrap();
+        ssi.on_read(T1, key(1), &[]).unwrap();
+        ssi.on_read(T2, key(1), &[]).unwrap();
+        ssi.on_read(T1, key(1), &[]).unwrap();
+        assert_eq!(ssi.marks(&key(1)), vec![T1, T2, T1]);
+        ssi.on_write(T1, &key(1)).unwrap();
+        ssi.on_write(T1, &relation).unwrap();
+        assert_eq!(ssi.marks(&key(1)), vec![T2]);
+        assert_eq!(ssi.marks(&relation), vec![T1]);
+        assert_eq!(ssi.neighbours(T1), (vec![T2], vec![]));
+    }
+
+    /// A committed record keeps no read keys, and GC sweeps every partition
+    /// for the dead readers' marks: those of live readers and of committed
+    /// readers that are not dead yet stay.
+    #[test]
+    fn gc_sweeps_dead_readers_marks() {
+        let ssi = SsiManager::new();
+        let keys: Vec<ReadKey> = (0..32).map(key).collect();
+        let partitions: HashSet<usize> = keys.iter().map(|k| stripe_of(k, 16)).collect();
+        assert!(partitions.len() > 1, "the keys span several partitions");
+        // T1 commits before live T3 began (dead at horizon 10); T2 after.
+        ssi.begin(T1, Ts(1));
+        ssi.begin(T3, Ts(10));
+        ssi.begin(T2, Ts(11));
+        for k in &keys {
+            for t in [T1, T2, T3] {
+                ssi.on_read(t, k.clone(), &[]).unwrap();
+            }
+        }
+        commit(&ssi, T1, &[], 2).unwrap();
+        commit(&ssi, T2, &[], 12).unwrap();
+        for t in [T1, T2] {
+            assert!(ssi.txns.lock()[&t].pending.is_none(), "{t:?} keeps no keys");
+        }
+        assert_eq!(ssi.siread_entries(), 3 * keys.len());
+        assert_eq!(ssi.gc(Ts(10)), 1);
+        assert_eq!(ssi.tracked(), 2);
+        for k in &keys {
+            assert_eq!(ssi.marks(k), vec![T2, T3], "{k:?}");
+        }
+        commit(&ssi, T3, &[], 10).unwrap();
+        assert_eq!(ssi.gc(Ts(20)), 2);
+        assert_eq!(ssi.siread_entries(), 0);
     }
 
     #[test]

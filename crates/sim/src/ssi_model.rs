@@ -373,20 +373,18 @@ impl Model for SsiFcwModel {
             }
             Action::Write(t, k) => {
                 let (t, k) = (t as usize, k as usize);
-                // Mirrors SsiManager::on_write: fail if doomed, then mark
-                // rw edges from every concurrent SIREAD holder. The write
-                // itself defers WW validation to commit (FCW).
+                // Mirrors SsiManager::on_write: drop t's own mark on k (the
+                // write supersedes it), fail if doomed, then mark rw edges
+                // from every concurrent SIREAD holder. The write itself
+                // defers WW validation to commit (FCW).
                 if self.ssi_enabled {
+                    n.siread[k].retain(|&r| r as usize != t);
                     if n.txns[t].doomed {
                         abort(&mut n, t);
                         return Some(n);
                     }
                     let my_start = n.txns[t].snapshot;
-                    let readers: Vec<usize> = n.siread[k]
-                        .iter()
-                        .map(|&r| r as usize)
-                        .filter(|&r| r != t)
-                        .collect();
+                    let readers: Vec<usize> = n.siread[k].iter().map(|&r| r as usize).collect();
                     for r in readers {
                         if concurrent_with(&n.txns, r, my_start)
                             && mark_rw(&mut n.txns, r, t, t).is_err()

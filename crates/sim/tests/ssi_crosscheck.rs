@@ -9,7 +9,10 @@
 //! documents). First-committer-wins validation lives in the engine's
 //! transaction layer, not in `SsiManager`, so the FCW abort branch is
 //! mirrored on both sides from the model's version store and the engine
-//! manager sees the same `on_abort`.
+//! manager sees the same `on_abort`. After every step both sides must also
+//! hold the same number of SIREAD marks, so a mark rule (such as a write
+//! dropping the writer's own mark) applied on one side only diverges at
+//! once.
 
 use sicost_common::{TableId, Ts, TxnId, Xoshiro256};
 use sicost_engine::ssi::{ReadKey, SsiManager};
@@ -21,6 +24,10 @@ const STEPS: usize = 24;
 
 fn read_key(k: u8) -> ReadKey {
     (TableId(0), Value::Int(i64::from(k)))
+}
+
+fn model_marks(s: &State) -> usize {
+    s.siread.iter().map(Vec::len).sum()
 }
 
 /// Applies one model action to the paired engine manager, returning
@@ -133,6 +140,11 @@ fn random_schedules_agree_with_the_real_ssi_manager() {
                 ));
                 break;
             }
+            assert_eq!(
+                mgr.siread_entries(),
+                model_marks(&next),
+                "seed {seed}: SIREAD marks after {action:?} (trace: {trace:?})"
+            );
             state = next;
         }
     }
@@ -181,6 +193,11 @@ fn the_write_skew_schedule_agrees_step_by_step() {
         let next = model.next_state(&state, &action).unwrap();
         let model_ok = next.txns[t as usize].phase != Phase::Aborted;
         assert_eq!(engine_ok, model_ok, "divergence at {action:?}");
+        assert_eq!(
+            mgr.siread_entries(),
+            model_marks(&next),
+            "SIREAD marks after {action:?}"
+        );
         engine_aborts += usize::from(!engine_ok);
         model_aborts += usize::from(!model_ok);
         state = next;
